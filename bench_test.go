@@ -271,41 +271,6 @@ func BenchmarkExploreThousand(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotExplore runs the same 1000-partition exploration as
-// BenchmarkExploreThousand through the snapshot-native explorer: every
-// candidate is written into the flat assignment vector and costed from the
-// compiled CSR arrays, with the best cost asserted identical (within
-// summation tolerance) to the pointer path's at equal seed.
-func BenchmarkSnapshotExplore(b *testing.B) {
-	for _, sub := range exploreGraphs(b) {
-		seq, err := partition.Random(context.Background(), sub.g, exploreConfig(sub.g))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(sub.name, func(b *testing.B) {
-			var res partition.Result
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				cfg := exploreConfig(sub.g)
-				cfg.IdxPolicy = partition.SingleBusIdx(sub.g, sub.g.Buses[0])
-				var err error
-				res, err = partition.SnapRandom(context.Background(), sub.g, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start)
-			if diff := res.Cost - seq.Cost; diff > 1e-9 || diff < -1e-9 {
-				b.Fatalf("snapshot best cost %v != pointer-path %v at equal seed", res.Cost, seq.Cost)
-			}
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*res.Evals)/elapsed.Seconds(), "designs/s")
-			}
-			b.ReportMetric(res.Cost, "bestcost")
-		})
-	}
-}
-
 // BenchmarkParallelExplore runs the identical enumeration through the
 // parallel multi-start engine at 1, 2 and 4 workers (legs = workers). The
 // best cost is asserted equal to the sequential baseline's at every worker

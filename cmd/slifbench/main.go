@@ -253,7 +253,6 @@ func runN2(dir string) {
 type exploreRecord struct {
 	Example        string  `json:"example"`
 	Evals          int     `json:"evals"`
-	SeqDesignsSec  float64 `json:"seq_designs_per_sec"`
 	SnapDesignsSec float64 `json:"snap_designs_per_sec"`
 	ParDesignsSec  float64 `json:"par_designs_per_sec"`
 	BestCost       float64 `json:"best_cost"`
@@ -426,8 +425,7 @@ func runPortfolio(dir string, workers int) []portfolioRecord {
 
 // moveTrialStats measures the per-trial hot path of the snapshot engine on
 // one graph: the nanoseconds and heap allocations of a single incremental
-// move costed through the IndexedPolicy (steady state, past the refresh
-// interval).
+// move (steady state, past the refresh interval).
 func moveTrialStats(g *core.Graph) (nsPerTrial, allocsPerOp float64) {
 	ev := partition.NewEvaluator(g, partition.Constraints{}, partition.DefaultWeights(), estimate.Options{})
 	pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
@@ -435,7 +433,6 @@ func moveTrialStats(g *core.Graph) (nsPerTrial, allocsPerOp float64) {
 	if err != nil {
 		fatal(err)
 	}
-	d.UseIndexedPolicy(partition.SingleBusIdx(g, g.Buses[0]))
 	var node *core.Node
 	var dest core.Component
 	for _, n := range g.Nodes {
@@ -470,11 +467,9 @@ func moveTrialStats(g *core.Graph) (nsPerTrial, allocsPerOp float64) {
 }
 
 // runExplore demonstrates the estimation-speed claim: how many complete
-// partitions per second the §3 equations evaluate — sequentially through
-// the pointer-walking estimator, through the snapshot-native explorer on
-// the compiled CSR arrays, and sharded across the parallel engine's worker
-// pool. All three land on the same best cost at the same seed (the
-// parallel run bit-identically, the snapshot run to summation tolerance);
+// partitions per second the §3 equations evaluate on the compiled CSR
+// arrays, sequentially and sharded across the parallel engine's worker
+// pool. Both land bit-identically on the same best cost at the same seed;
 // only the throughput changes.
 func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool, portRecords []portfolioRecord) {
 	if workers <= 0 {
@@ -489,54 +484,40 @@ func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool, po
 	opt := partition.ParallelOptions{Workers: workers}
 	fmt.Printf("Estimation throughput (\"algorithms that explore thousands of possible designs\"), %d workers\n", workers)
 	fmt.Println()
-	fmt.Printf("%-8s %6s %14s %15s %14s %9s %12s\n", "", "evals", "seq designs/s", "snap designs/s", "par designs/s", "speedup", "best cost")
+	fmt.Printf("%-8s %6s %15s %14s %9s %12s\n", "", "evals", "snap designs/s", "par designs/s", "speedup", "best cost")
 	var records []exploreRecord
 	for _, sub := range exploreSubjects(dir) {
 		name, g := sub.name, sub.g
-		mkCfg := func(indexed bool) partition.Config {
+		mkCfg := func() partition.Config {
 			ev := partition.NewEvaluator(g, partition.Constraints{}, partition.DefaultWeights(), estimate.Options{})
-			cfg := partition.Config{Eval: ev, Policy: partition.SingleBus(g.Buses[0]), Seed: 42, MaxIters: 2000}
-			if indexed {
-				cfg.IdxPolicy = partition.SingleBusIdx(g, g.Buses[0])
-			}
-			return cfg
+			return partition.Config{Eval: ev, Policy: partition.SingleBus(g.Buses[0]), Seed: 42, MaxIters: 2000}
 		}
 		start := time.Now()
-		seq, err := partition.Random(ctx, g, mkCfg(false))
+		seq, err := partition.Random(ctx, g, mkCfg())
 		if err != nil {
 			fatal(err)
 		}
 		seqDur := time.Since(start)
 		start = time.Now()
-		snap, err := partition.SnapRandom(ctx, g, mkCfg(true))
-		if err != nil {
-			fatal(err)
-		}
-		snapDur := time.Since(start)
-		start = time.Now()
-		par, err := partition.ParallelSnapRandom(ctx, g, mkCfg(true), opt)
+		par, err := partition.ParallelRandom(ctx, g, mkCfg(), opt)
 		if err != nil {
 			fatal(err)
 		}
 		parDur := time.Since(start)
 		// A deadline cuts the runs short at different points, so the
-		// identity checks only hold for complete runs.
-		if !snap.Partial && !par.Report.Partial && par.Cost != snap.Cost {
-			fatal(fmt.Errorf("%s: parallel best cost %v != sequential %v at equal seed", name, par.Cost, snap.Cost))
-		}
-		if diff := snap.Cost - seq.Cost; !seq.Partial && !snap.Partial && (diff > 1e-9 || diff < -1e-9) {
-			fatal(fmt.Errorf("%s: snapshot best cost %v != pointer-path %v at equal seed", name, snap.Cost, seq.Cost))
-		}
-		if seq.Partial || snap.Partial || par.Report.Partial {
-			fmt.Printf("%-8s (cut short by -timeout; partial bests: seq %.4f, snap %.4f, par %.4f)\n", name, seq.Cost, snap.Cost, par.Cost)
+		// identity check only holds for complete runs.
+		if seq.Partial || par.Report.Partial {
+			fmt.Printf("%-8s (cut short by -timeout; partial bests: seq %.4f, par %.4f)\n", name, seq.Cost, par.Cost)
 			continue
+		}
+		if par.Cost != seq.Cost {
+			fatal(fmt.Errorf("%s: parallel best cost %v != sequential %v at equal seed", name, par.Cost, seq.Cost))
 		}
 		nsPerTrial, allocs := moveTrialStats(g)
 		rec := exploreRecord{
 			Example:        name,
 			Evals:          seq.Evals,
-			SeqDesignsSec:  float64(seq.Evals) / seqDur.Seconds(),
-			SnapDesignsSec: float64(snap.Evals) / snapDur.Seconds(),
+			SnapDesignsSec: float64(seq.Evals) / seqDur.Seconds(),
 			ParDesignsSec:  float64(par.Evals) / parDur.Seconds(),
 			BestCost:       seq.Cost,
 			NsPerTrial:     nsPerTrial,
@@ -544,9 +525,8 @@ func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool, po
 			Workers:        workers,
 		}
 		records = append(records, rec)
-		fmt.Printf("%-8s %6d %14.0f %15.0f %14.0f %8.2fx %12.4f\n",
-			name, seq.Evals,
-			rec.SeqDesignsSec, rec.SnapDesignsSec, rec.ParDesignsSec,
+		fmt.Printf("%-8s %6d %15.0f %14.0f %8.2fx %12.4f\n",
+			name, seq.Evals, rec.SnapDesignsSec, rec.ParDesignsSec,
 			seqDur.Seconds()/parDur.Seconds(), seq.Cost)
 	}
 	fmt.Println()

@@ -2,7 +2,7 @@
 // evaluator on the real paper examples (the internal/partition tests cover
 // it on synthetic graphs). The differential test is the oracle contract of
 // the tentpole: on every Fig. 4 example and the generated scaling
-// subjects, long random move sequences through MoveCost/Apply/Undo must
+// subjects, long random move and swap sequences through the delta API must
 // agree with a full recompute within 1e-9 — and it runs under -race in CI.
 
 package bench
@@ -31,90 +31,100 @@ func deltaSubjectConstraints(g *core.Graph) partition.Constraints {
 	return cons
 }
 
-// TestDeltaDifferentialExamples runs ≥1000 random moves per subject,
-// checking every incremental MoveCost against a full-recompute oracle and
-// periodically cross-checking the committed state. Each subject runs
-// twice: once through the pointer bus policy ("ptr") and once with the
-// snapshot-native IndexedPolicy installed ("idx"), where move trials never
-// touch a Partition at all — both must pin to the same oracle.
+// TestDeltaDifferentialExamples runs ≥1000 random steps per subject — a
+// move or, a third of the time, a pair swap — checking every incremental
+// MoveCost and SwapCost against a full-recompute oracle, committing about
+// half of them, and periodically cross-checking the committed state.
 func TestDeltaDifferentialExamples(t *testing.T) {
 	const steps = 1000
 	for _, sub := range exploreGraphs(t) {
-		sub := sub
-		for _, mode := range []string{"ptr", "idx"} {
-			mode := mode
-			t.Run(sub.name+"/"+mode, func(t *testing.T) {
-				g := sub.g
-				cons := deltaSubjectConstraints(g)
-				ev := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
-				oracle := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
-				policy := partition.SingleBus(g.Buses[0])
-				pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
-				d, err := ev.Delta(pt, policy)
+		t.Run(sub.name, func(t *testing.T) {
+			g := sub.g
+			cons := deltaSubjectConstraints(g)
+			ev := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
+			oracle := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
+			policy := partition.SingleBus(g.Buses[0])
+			pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+			d, err := ev.Delta(pt, policy)
+			if err != nil {
+				t.Fatalf("Delta on %s: %v", sub.name, err)
+			}
+			allowed := map[*core.Node]map[core.Component]bool{}
+			for _, n := range g.Nodes {
+				allowed[n] = map[core.Component]bool{}
+				for _, c := range partition.Allowed(g, n) {
+					allowed[n][c] = true
+				}
+			}
+			oracleCost := func(step int, what string, trial *core.Partition) float64 {
+				if err := partition.ApplyBusPolicy(trial, policy); err != nil {
+					t.Fatal(err)
+				}
+				want, err := oracle.Cost(trial)
 				if err != nil {
-					t.Fatalf("Delta on %s: %v", sub.name, err)
+					t.Fatalf("step %d: oracle %s: %v", step, what, err)
 				}
-				if mode == "idx" {
-					d.UseIndexedPolicy(partition.SingleBusIdx(g, g.Buses[0]))
-				}
-				rng := rand.New(rand.NewSource(11))
-				for step := 0; step < steps; step++ {
-					n := g.Nodes[rng.Intn(len(g.Nodes))]
-					cands := partition.Allowed(g, n)
+				return want
+			}
+			rng := rand.New(rand.NewSource(11))
+			for step := 0; step < steps; step++ {
+				a, b := g.Nodes[rng.Intn(len(g.Nodes))], g.Nodes[rng.Intn(len(g.Nodes))]
+				ca, cb := pt.BvComp(a), pt.BvComp(b)
+				commit := rng.Float64() < 0.5
+				trial := pt.Clone()
+				if rng.Float64() < 1.0/3 && allowed[a][cb] && allowed[b][ca] {
+					got, err := d.SwapCost(a, b)
+					if err != nil {
+						t.Fatalf("step %d: SwapCost(%s, %s): %v", step, a.Name, b.Name, err)
+					}
+					if err := trial.Assign(a, cb); err != nil {
+						t.Fatal(err)
+					}
+					if err := trial.Assign(b, ca); err != nil {
+						t.Fatal(err)
+					}
+					if want := oracleCost(step, "swap", trial); math.Abs(got-want) > 1e-9 {
+						t.Fatalf("step %d: SwapCost(%s, %s) = %.15g, oracle %.15g", step, a.Name, b.Name, got, want)
+					}
+					if commit {
+						if err := d.ApplySwap(a, b); err != nil {
+							t.Fatalf("step %d: ApplySwap: %v", step, err)
+						}
+					}
+				} else {
+					cands := partition.Allowed(g, a)
 					if len(cands) == 0 {
 						continue
 					}
 					to := cands[rng.Intn(len(cands))]
-
-					got, err := d.MoveCost(n, to)
+					got, err := d.MoveCost(a, to)
 					if err != nil {
-						t.Fatalf("step %d: MoveCost(%s→%s): %v", step, n.Name, to.CompName(), err)
+						t.Fatalf("step %d: MoveCost(%s→%s): %v", step, a.Name, to.CompName(), err)
 					}
-					trial := pt.Clone()
-					if err := trial.Assign(n, to); err != nil {
+					if err := trial.Assign(a, to); err != nil {
 						t.Fatal(err)
 					}
-					if err := partition.ApplyBusPolicy(trial, policy); err != nil {
-						t.Fatal(err)
-					}
-					want, err := oracle.Cost(trial)
-					if err != nil {
-						t.Fatalf("step %d: oracle: %v", step, err)
-					}
-					if math.Abs(got-want) > 1e-9 {
+					if want := oracleCost(step, "move", trial); math.Abs(got-want) > 1e-9 {
 						t.Fatalf("step %d: MoveCost(%s→%s) = %.15g, oracle %.15g (Δ %g)",
-							step, n.Name, to.CompName(), got, want, got-want)
+							step, a.Name, to.CompName(), got, want, got-want)
 					}
-
-					switch r := rng.Float64(); {
-					case r < 0.45:
-						if err := d.Apply(n, to); err != nil {
+					if commit {
+						if err := d.Apply(a, to); err != nil {
 							t.Fatalf("step %d: Apply: %v", step, err)
-						}
-					case r < 0.55:
-						if err := d.Apply(n, to); err != nil {
-							t.Fatalf("step %d: Apply: %v", step, err)
-						}
-						if err := d.Undo(); err != nil {
-							t.Fatalf("step %d: Undo: %v", step, err)
-						}
-					}
-					if step%127 == 0 {
-						got, err := d.Cost()
-						if err != nil {
-							t.Fatalf("step %d: Cost: %v", step, err)
-						}
-						want, err := oracle.Cost(pt)
-						if err != nil {
-							t.Fatalf("step %d: oracle commit: %v", step, err)
-						}
-						if math.Abs(got-want) > 1e-9 {
-							t.Fatalf("step %d: committed Cost = %.15g, oracle %.15g", step, got, want)
 						}
 					}
 				}
-			})
-		}
+				if step%127 == 0 {
+					got, err := d.Cost()
+					if err != nil {
+						t.Fatalf("step %d: Cost: %v", step, err)
+					}
+					if want := oracleCost(step, "commit", pt.Clone()); math.Abs(got-want) > 1e-9 {
+						t.Fatalf("step %d: committed Cost = %.15g, oracle %.15g", step, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -132,9 +142,8 @@ func moveBenchGraph(b *testing.B, name string) *core.Graph {
 
 // moveBenchSetup binds a delta evaluator to an example and precomputes a
 // rotation of (node, destination) moves so the benchmark loop measures
-// only MoveCost. With indexed set, the snapshot-native bus policy is
-// installed, so each trial runs entirely on the compiled arrays.
-func moveBenchSetup(b *testing.B, name string, indexed bool) (*partition.DeltaEval, []*core.Node, []core.Component) {
+// only MoveCost.
+func moveBenchSetup(b *testing.B, name string) (*partition.DeltaEval, []*core.Node, []core.Component) {
 	b.Helper()
 	g := moveBenchGraph(b, name)
 	ev := partition.NewEvaluator(g, deltaSubjectConstraints(g), partition.DefaultWeights(), estimate.Options{})
@@ -142,9 +151,6 @@ func moveBenchSetup(b *testing.B, name string, indexed bool) (*partition.DeltaEv
 	d, err := ev.Delta(pt, partition.SingleBus(g.Buses[0]))
 	if err != nil {
 		b.Fatal(err)
-	}
-	if indexed {
-		d.UseIndexedPolicy(partition.SingleBusIdx(g, g.Buses[0]))
 	}
 	var nodes []*core.Node
 	var dests []core.Component
@@ -163,35 +169,16 @@ func moveBenchSetup(b *testing.B, name string, indexed bool) (*partition.DeltaEv
 	return d, nodes, dests
 }
 
-// BenchmarkMoveCost measures one incremental move trial — the partitioning
-// inner loop after the delta rewrite. The acceptance bar: ≥5× fewer ns/op
-// than BenchmarkFullCost on ether and 0 allocs/op in steady state (CI runs
-// it with -benchmem and fails on a non-zero allocation rate).
-func BenchmarkMoveCost(b *testing.B) {
-	for _, name := range []string{"ans", "ether"} {
-		b.Run(name, func(b *testing.B) {
-			d, nodes, dests := moveBenchSetup(b, name, false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k := i % len(nodes)
-				if _, err := d.MoveCost(nodes[k], dests[k]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSnapshotMoveCost is BenchmarkMoveCost with the IndexedPolicy
-// installed: one incremental move trial costed entirely from the compiled
-// CSR snapshot, touching no Partition maps and no pointers. The subjects
-// extend up the size axis (syn-p128 ≈ an order of magnitude past ether);
-// the CI zero-alloc gate covers this benchmark too.
+// BenchmarkSnapshotMoveCost measures one incremental move trial — the
+// partitioning inner loop — costed entirely from the compiled CSR
+// snapshot, touching no Partition maps and no pointers. The subjects
+// extend up the size axis (syn-p128 ≈ an order of magnitude past ether).
+// CI runs it with -benchmem and fails on a non-zero steady-state
+// allocation rate, and holds it well under BenchmarkFullCost.
 func BenchmarkSnapshotMoveCost(b *testing.B) {
 	for _, name := range []string{"ans", "ether", "syn-p8", "syn-p32", "syn-p128"} {
 		b.Run(name, func(b *testing.B) {
-			d, nodes, dests := moveBenchSetup(b, name, true)
+			d, nodes, dests := moveBenchSetup(b, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -277,7 +277,7 @@ func Explore(ctx context.Context, g *core.Graph, cands []Candidate, cons partiti
 			continue
 		}
 		ev := partition.NewEvaluator(ng, cons, w, estimate.Options{})
-		cfg := partition.Config{Eval: ev, Policy: partition.SingleBus(ng.Buses[0]), IdxPolicy: partition.SingleBusIdx(ng, ng.Buses[0]), Seed: 1}
+		cfg := partition.Config{Eval: ev, Policy: partition.SingleBus(ng.Buses[0]), Seed: 1}
 		res, err := partition.Greedy(ctx, ng, cfg)
 		if err == nil && !res.Partial {
 			res, err = partition.GroupMigration(ctx, res.Best, cfg)
@@ -323,7 +323,7 @@ func ExploreParallel(ctx context.Context, g *core.Graph, cands []Candidate, cons
 			continue
 		}
 		ev := partition.NewEvaluator(ng, cons, w, estimate.Options{})
-		cfg := partition.Config{Eval: ev, Policy: partition.SingleBus(ng.Buses[0]), IdxPolicy: partition.SingleBusIdx(ng, ng.Buses[0]), Seed: 1}
+		cfg := partition.Config{Eval: ev, Policy: partition.SingleBus(ng.Buses[0]), Seed: 1}
 		multi, err := partition.MultiStart(ctx, ng, cfg, opt)
 		res := multi.Result
 		if err == nil {

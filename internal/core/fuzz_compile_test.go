@@ -89,9 +89,12 @@ func FuzzCompile(f *testing.F) {
 		want, wantErr := ev.Cost(pt)
 		d, dErr := ev.Delta(pt, partition.SingleBus(g.Buses[0]))
 		if dErr != nil {
-			// Graphs the incremental path cannot serve (access cycles)
-			// must also be unservable — or at least not silently costed —
-			// which Delta signals by refusing to bind. Nothing to compare.
+			// Delta refuses what the oracle fails on, plus two inputs the
+			// oracle only fails on once something reads an Exectime: a
+			// missing ict weight and a non-positive bus width.
+			if msg := dErr.Error(); wantErr == nil && !strings.Contains(msg, "ict weight") && !strings.Contains(msg, "bitwidth") {
+				t.Fatalf("Delta refused a graph the oracle costs: %v", dErr)
+			}
 			return
 		}
 		got, gotErr := d.Cost()

@@ -23,16 +23,20 @@ import (
 // included). It is partition-independent — build it once per graph and
 // reuse it across searches; it also owns the graph's compiled Snapshot,
 // which every consumer (Incr, partition.DeltaEval, parallel workers)
-// shares read-only. Building fails on a recursive (cyclic) access graph,
-// for which incremental update is undefined; callers fall back to the
-// full estimator, which reports the cycle precisely (or tolerates it
-// under Options.IgnoreRecursion).
+// shares read-only.
+//
+// A recursive (cyclic) access graph is indexed too: every node that
+// reaches a cycle is marked Cyclic and left out of Order. Its Exectime is
+// undefined — the full estimator fails on it with an "access graph cycle"
+// error — so Incr never computes it, and a caller reports the cycle only
+// if something reads that Exectime, as the full estimator does.
 type Deps struct {
 	g        *core.Graph
 	snap     *core.Snapshot
 	idx      map[*core.Node]int32
 	pos      []int32   // topological position per node index
-	order    []int32   // node indices, callees before callers
+	order    []int32   // acyclic node indices, callees before callers
+	cyclic   []bool    // node reaches an access-graph cycle
 	affected [][]int32 // node index → topo-sorted dependents incl. self
 }
 
@@ -64,9 +68,6 @@ func NewDeps(g *core.Graph) (*Deps, error) {
 			continue // port access: transfer time only, no Exectime dependency
 		}
 		u := snap.ChanSrc[ci]
-		if u == v {
-			return nil, fmt.Errorf("estimate: access graph cycle (recursion) through %q", snap.NodeNames[v])
-		}
 		ndeps[u]++
 		dependents[v] = append(dependents[v], u)
 	}
@@ -90,8 +91,17 @@ func NewDeps(g *core.Graph) (*Deps, error) {
 			}
 		}
 	}
-	if len(d.order) != n {
-		return nil, fmt.Errorf("estimate: access graph of %q has a cycle (recursion)", g.Name)
+	// Kahn's algorithm never releases a node that reaches a cycle: mark
+	// those and place them after the acyclic part, so every Affected list
+	// still sorts callee-first on the nodes Incr computes.
+	d.cyclic = make([]bool, n)
+	next := int32(len(d.order))
+	for i := range ndeps {
+		if ndeps[i] > 0 {
+			d.cyclic[i] = true
+			d.pos[i] = next
+			next++
+		}
 	}
 	// Per-node transitive closure of dependents, sorted topologically so
 	// that recomputing a closure in slice order never reads a stale callee.
@@ -141,9 +151,13 @@ func (d *Deps) Index(n *core.Node) (int32, bool) {
 // Node returns the node at dense index i.
 func (d *Deps) Node(i int32) *core.Node { return d.g.Nodes[i] }
 
-// Order returns every node index callee-first; recomputing Exectime in
-// this order never reads a stale callee.
+// Order returns every acyclic node index callee-first; recomputing
+// Exectime in this order never reads a stale callee.
 func (d *Deps) Order() []int32 { return d.order }
+
+// Cyclic reports whether node i reaches an access-graph cycle, i.e. its
+// Exectime is undefined.
+func (d *Deps) Cyclic(i int32) bool { return d.cyclic[i] }
 
 // Affected returns the indices of the nodes whose Exectime depends on node
 // i, including i itself, topologically sorted callee-first. The slice is
@@ -265,8 +279,12 @@ func (in *Incr) Bind(a *core.Assignment) error {
 
 // RecomputeAffected refreshes Exectime for the given node indices, which
 // must be sorted callee-first (Deps.Affected and Deps.Order both are).
+// Cyclic nodes are skipped: their Exectime is undefined.
 func (in *Incr) RecomputeAffected(order []int32) error {
 	for _, i := range order {
+		if in.deps.cyclic[i] {
+			continue
+		}
 		if err := in.recompute(i); err != nil {
 			return err
 		}
@@ -277,10 +295,11 @@ func (in *Incr) RecomputeAffected(order []int32) error {
 // Et returns the current Exectime of the node with dense index i.
 func (in *Incr) Et(i int32) float64 { return in.et[i] }
 
-// Exectime returns the current Exectime of n.
+// Exectime returns the current Exectime of n; ok is false for a node
+// outside the graph or a cyclic one.
 func (in *Incr) Exectime(n *core.Node) (float64, bool) {
 	i, ok := in.deps.Index(n)
-	if !ok {
+	if !ok || in.deps.cyclic[i] {
 		return 0, false
 	}
 	return in.et[i], true

@@ -60,39 +60,54 @@ func TestDepsOrderAndAffected(t *testing.T) {
 	}
 }
 
-func TestDepsRejectsRecursion(t *testing.T) {
-	// Self-access.
-	g := core.NewGraph("selfloop")
-	a := &core.Node{Name: "a", Kind: core.BehaviorNode, IsProcess: true}
-	if err := g.AddNode(a); err != nil {
-		t.Fatal(err)
+// TestDepsMarksRecursion: a recursive access graph is indexed, with every
+// node that reaches a cycle — its members and their callers — marked
+// Cyclic and left out of Order, and Incr leaves those nodes uncomputed.
+func TestDepsMarksRecursion(t *testing.T) {
+	// caller → self-loop s; caller → x ⇄ y; leaf v reaches no cycle.
+	g := core.NewGraph("cycles")
+	var nodes []*core.Node
+	for _, name := range []string{"caller", "s", "x", "y", "leaf", "v"} {
+		n := &core.Node{Name: name, Kind: core.BehaviorNode, IsProcess: name == "caller"}
+		if name == "v" {
+			n.Kind = core.VariableNode
+		}
+		n.SetICT("t", 1)
+		if err := g.AddNode(n); err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
 	}
-	if err := g.AddChannel(&core.Channel{Src: a, Dst: a, AccFreq: 1, Bits: 8, Tag: core.NoTag}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewDeps(g); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("self-loop NewDeps error = %v, want cycle", err)
-	}
-
-	// Two-node cycle.
-	g2 := core.NewGraph("pair")
-	x := &core.Node{Name: "x", Kind: core.BehaviorNode, IsProcess: true}
-	y := &core.Node{Name: "y", Kind: core.BehaviorNode}
-	for _, n := range []*core.Node{x, y} {
-		if err := g2.AddNode(n); err != nil {
+	for _, e := range [][2]string{{"caller", "s"}, {"s", "s"}, {"caller", "x"}, {"x", "y"}, {"y", "x"}, {"caller", "leaf"}, {"leaf", "v"}} {
+		if err := g.AddChannel(&core.Channel{Src: g.NodeByName(e[0]), Dst: g.NodeByName(e[1]), AccFreq: 1, Bits: 8, Tag: core.NoTag}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, c := range []*core.Channel{
-		{Src: x, Dst: y, AccFreq: 1, Bits: 8, Tag: core.NoTag},
-		{Src: y, Dst: x, AccFreq: 1, Bits: 8, Tag: core.NoTag},
-	} {
-		if err := g2.AddChannel(c); err != nil {
-			t.Fatal(err)
+	g.AddProcessor(&core.Processor{Name: "p", TypeName: "t"})
+	g.AddBus(&core.Bus{Name: "b", BitWidth: 8, TS: 1, TD: 1})
+	deps, err := NewDeps(g)
+	if err != nil {
+		t.Fatalf("NewDeps on a recursive graph: %v", err)
+	}
+	cyclic := map[string]bool{"caller": true, "s": true, "x": true, "y": true}
+	for i, n := range nodes {
+		if got := deps.Cyclic(int32(i)); got != cyclic[n.Name] {
+			t.Errorf("Cyclic(%s) = %v, want %v", n.Name, got, cyclic[n.Name])
 		}
 	}
-	if _, err := NewDeps(g2); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("two-node cycle NewDeps error = %v, want cycle", err)
+	var order []string
+	for _, i := range deps.Order() {
+		order = append(order, deps.Node(i).Name)
+	}
+	if strings.Join(order, " ") != "v leaf" {
+		t.Errorf("Order = %v, want [v leaf]", order)
+	}
+	in := incrFor(t, g, core.AllToProcessor(g, g.Procs[0], g.Buses[0]), Options{})
+	if _, ok := in.Exectime(g.NodeByName("caller")); ok {
+		t.Error("Incr reports an Exectime for a cyclic node")
+	}
+	if et, ok := in.Exectime(g.NodeByName("leaf")); !ok || et != 3 {
+		t.Errorf("Exectime(leaf) = %v, %v; want 3 (ict 1 + transfer 1 + v 1)", et, ok)
 	}
 }
 

@@ -17,14 +17,6 @@ type Config struct {
 	Seed     int64
 	MaxIters int // algorithm-specific iteration budget; 0 = default
 
-	// IdxPolicy, when set, is the snapshot-native twin of Policy (see
-	// IndexedPolicy): it must derive the same bus per channel. Move-based
-	// searches then run their trial moves entirely on the flat assignment
-	// vector, and SnapRandom requires it. Leave nil to drive the delta
-	// evaluator through the pointer policy (still incremental, slightly
-	// slower).
-	IdxPolicy IndexedPolicy
-
 	// MaxEvals caps the cost evaluations a run may spend; 0 = unlimited.
 	// A search that exhausts the budget stops and returns its best-so-far
 	// result with Partial set (anytime semantics), possibly spending one
@@ -33,14 +25,6 @@ type Config struct {
 	// across legs, so a budgeted run is still reproducible at a fixed
 	// seed and leg plan.
 	MaxEvals int
-
-	// FullEval forces the move-based searches (Greedy, GroupMigration,
-	// Anneal) to cost every trial with a full recompute instead of the
-	// incremental delta evaluator. Set it when the bus policy is not
-	// endpoint-local (see BusPolicy), or to cross-check the incremental
-	// path — the two produce identical searches up to floating-point
-	// rounding, and the differential tests hold them to 1e-9.
-	FullEval bool
 
 	// SwapProb, when positive, makes Anneal propose a pair-swap move (two
 	// nodes exchanging components, costed in one SwapCost evaluation) with
@@ -108,119 +92,6 @@ func (r Result) String() string {
 	return s
 }
 
-// evalWith applies the bus policy and costs the partition.
-func evalWith(cfg Config, pt *core.Partition) (float64, error) {
-	if err := ApplyBusPolicy(pt, cfg.Policy); err != nil {
-		return 0, err
-	}
-	return cfg.Eval.Cost(pt)
-}
-
-// mover is what a move-based search needs from an evaluator: the cost of
-// the current partition, the cost the partition would have after one node
-// move or one pair exchange (without keeping it), and committing either.
-// DeltaEval satisfies it at O(degree) per call; fullMover is the O(graph)
-// recompute with identical semantics. Both count one evaluation per
-// Cost/MoveCost/SwapCost and none per Apply/ApplySwap, so budgets and
-// fault injection see the same sequence whichever implementation runs.
-type mover interface {
-	Cost() (float64, error)
-	MoveCost(n *core.Node, to core.Component) (float64, error)
-	Apply(n *core.Node, to core.Component) error
-	SwapCost(a, b *core.Node) (float64, error)
-	ApplySwap(a, b *core.Node) error
-}
-
-// fullMover implements mover by full recompute: MoveCost assigns, costs
-// and restores, exactly the trial loops the searches used to inline.
-type fullMover struct {
-	cfg Config
-	pt  *core.Partition
-}
-
-func (m *fullMover) Cost() (float64, error) { return evalWith(m.cfg, m.pt) }
-
-func (m *fullMover) MoveCost(n *core.Node, to core.Component) (float64, error) {
-	from := m.pt.BvComp(n)
-	if err := m.pt.Assign(n, to); err != nil {
-		return 0, err
-	}
-	cost, cerr := evalWith(m.cfg, m.pt)
-	if err := m.pt.Assign(n, from); err != nil {
-		return 0, err
-	}
-	return cost, cerr
-}
-
-// Apply commits the node move only; the bus policy is re-applied by the
-// next evaluation (evalWith), as the searches always did.
-func (m *fullMover) Apply(n *core.Node, to core.Component) error {
-	return m.pt.Assign(n, to)
-}
-
-// SwapCost costs the pair exchange of a and b by assign-cost-restore,
-// mirroring DeltaEval.SwapCost: one evaluation, and a degenerate swap
-// (same node or same component) is costed as a no-op.
-func (m *fullMover) SwapCost(a, b *core.Node) (float64, error) {
-	ca, cb := m.pt.BvComp(a), m.pt.BvComp(b)
-	if a == b || ca == cb {
-		return evalWith(m.cfg, m.pt)
-	}
-	if err := m.pt.Assign(a, cb); err != nil {
-		return 0, err
-	}
-	if err := m.pt.Assign(b, ca); err != nil {
-		if rerr := m.pt.Assign(a, ca); rerr != nil {
-			return 0, rerr
-		}
-		return 0, err
-	}
-	cost, cerr := evalWith(m.cfg, m.pt)
-	if err := m.pt.Assign(b, cb); err != nil {
-		return 0, err
-	}
-	if err := m.pt.Assign(a, ca); err != nil {
-		return 0, err
-	}
-	return cost, cerr
-}
-
-// ApplySwap commits the pair exchange only, like Apply.
-func (m *fullMover) ApplySwap(a, b *core.Node) error {
-	ca, cb := m.pt.BvComp(a), m.pt.BvComp(b)
-	if a == b || ca == cb {
-		return nil
-	}
-	if err := m.pt.Assign(a, cb); err != nil {
-		return err
-	}
-	if err := m.pt.Assign(b, ca); err != nil {
-		if rerr := m.pt.Assign(a, ca); rerr != nil {
-			return rerr
-		}
-		return err
-	}
-	return nil
-}
-
-// newMover binds the best available mover to pt: the evaluator's pooled
-// delta evaluator, or a full-recompute mover when the graph doesn't
-// support incremental evaluation (recursive access graph, degenerate bus,
-// incomplete mapping) or the caller opted out with cfg.FullEval. The
-// fallback preserves full-recompute semantics exactly — including which
-// degenerate inputs it tolerates and how it reports the ones it doesn't.
-func newMover(cfg Config, pt *core.Partition) mover {
-	if !cfg.FullEval {
-		if d, err := cfg.Eval.Delta(pt, cfg.Policy); err == nil {
-			if cfg.IdxPolicy != nil {
-				d.UseIndexedPolicy(cfg.IdxPolicy)
-			}
-			return d
-		}
-	}
-	return &fullMover{cfg: cfg, pt: pt}
-}
-
 // sampler is a tiny splitmix64 PRNG used to draw random candidates. Unlike
 // a single math/rand stream, every candidate index gets its own stream
 // derived from (seed, index), so a run sharded across parallel legs
@@ -276,26 +147,25 @@ func Random(ctx context.Context, g *core.Graph, cfg Config) (Result, error) {
 	if iters <= 0 {
 		iters = 1000
 	}
-	return randomRange(ctx, g, cfg, 0, iters)
+	return randomShard(ctx, g, cfg, 0, iters)
 }
 
-// randomRange evaluates the candidates with indices [lo, hi) of the
-// deterministic candidate enumeration defined by cfg.Seed. Candidates are
-// built on one scratch partition (cloned only on improvement), so the loop
-// is allocation-light. Ties keep the earliest candidate, matching what a
-// sequential first-strictly-better scan would keep. The context is polled
-// every checkInterval candidates; a poll that never fires changes nothing,
-// so an uncancelled run is bit-identical to the pre-context engine.
-func randomRange(ctx context.Context, g *core.Graph, cfg Config, lo, hi int) (Result, error) {
+// randomShard evaluates the candidates with indices [lo, hi) of the
+// deterministic candidate enumeration defined by cfg.Seed. Each candidate
+// is written straight into the delta evaluator's assignment vector and
+// costed from the compiled snapshot, with zero allocations per candidate;
+// a Partition is materialized only for the winner. Ties keep the earliest
+// candidate, matching what a sequential first-strictly-better scan would
+// keep. The context is polled every checkInterval candidates.
+func randomShard(ctx context.Context, g *core.Graph, cfg Config, lo, hi int) (Result, error) {
 	start := cfg.Eval.Evals
-	table, err := candidateTable(g)
+	d, ids, err := bindVector(g, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	pt := core.NewPartition(g)
-	var best *core.Partition
+	bestVec := make([]int32, len(ids))
 	bestCost := math.Inf(1)
-	partial := false
+	found, partial := false, false
 	for i := lo; i < hi; i++ {
 		if (i-lo)%checkInterval == 0 && cancelled(ctx) {
 			partial = true
@@ -306,21 +176,69 @@ func randomRange(ctx context.Context, g *core.Graph, cfg Config, lo, hi int) (Re
 			break
 		}
 		s := candidateSampler(cfg.Seed, i)
-		for j, n := range g.Nodes {
-			cands := table[j]
-			if err := pt.Assign(n, cands[s.intn(len(cands))]); err != nil {
-				return Result{}, err
-			}
+		for j, cands := range ids {
+			d.asg.NodeComp[j] = cands[s.intn(len(cands))]
 		}
-		cost, err := evalWith(cfg, pt)
+		cost, err := d.costCandidate()
 		if err != nil {
 			return Result{}, err
 		}
 		if cost < bestCost {
-			bestCost, best = cost, pt.Clone()
+			bestCost, found = cost, true
+			copy(bestVec, d.asg.NodeComp)
+		}
+	}
+	var best *core.Partition
+	if found {
+		if best, err = materialize(g, d, bestVec, cfg.Policy); err != nil {
+			return Result{}, err
 		}
 	}
 	return Result{Best: best, Cost: bestCost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
+}
+
+// bindVector binds the evaluator's delta evaluator for a search that
+// builds whole candidates on the assignment vector (Random, Exhaustive,
+// ClusterGreedy), starting from every node on its first candidate. It
+// returns each node's candidate component IDs, in Allowed order.
+func bindVector(g *core.Graph, cfg Config) (*DeltaEval, [][]int32, error) {
+	table, err := candidateTable(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	pt := core.NewPartition(g)
+	for j, n := range g.Nodes {
+		if err := pt.Assign(n, table[j][0]); err != nil {
+			return nil, nil, err
+		}
+	}
+	d, err := cfg.Eval.Delta(pt, cfg.Policy)
+	if err != nil {
+		return nil, nil, err
+	}
+	ids := make([][]int32, len(table))
+	for j, cands := range table {
+		ids[j] = make([]int32, len(cands))
+		for k, c := range cands {
+			ids[j][k] = d.compIdx[c]
+		}
+	}
+	return d, ids, nil
+}
+
+// materialize builds the Partition for an assignment vector, with its
+// channel mapping derived by the policy.
+func materialize(g *core.Graph, d *DeltaEval, vec []int32, policy BusPolicy) (*core.Partition, error) {
+	pt := core.NewPartition(g)
+	for j, n := range g.Nodes {
+		if err := pt.Assign(n, d.comps[vec[j]]); err != nil {
+			return nil, err
+		}
+	}
+	if err := ApplyBusPolicy(pt, policy); err != nil {
+		return nil, err
+	}
+	return pt, nil
 }
 
 // Greedy builds a partition constructively: nodes in descending traffic
@@ -369,7 +287,10 @@ func greedyRotated(ctx context.Context, g *core.Graph, cfg Config, rotate int) (
 		}
 	}
 
-	m := newMover(cfg, pt)
+	m, err := cfg.Eval.Delta(pt, cfg.Policy)
+	if err != nil {
+		return Result{}, err
+	}
 	partial := false
 place:
 	for _, n := range nodes {
@@ -429,10 +350,14 @@ func GroupMigration(ctx context.Context, init *core.Partition, cfg Config) (Resu
 	g := init.Graph()
 	start := cfg.Eval.Evals
 	cur := init.Clone()
-	// This mover is used for exactly one evaluation: each pass binds the
-	// evaluator's pooled delta state to its own working clone, so a mover
-	// is never held across pass boundaries.
-	curCost, err := newMover(cfg, cur).Cost()
+	// This binding is used for exactly one evaluation: each pass rebinds
+	// the evaluator's pooled delta state to its own working clone, so a
+	// binding is never held across pass boundaries.
+	d, err := cfg.Eval.Delta(cur, cfg.Policy)
+	if err != nil {
+		return Result{}, err
+	}
+	curCost, err := d.Cost()
 	if err != nil {
 		return Result{}, err
 	}
@@ -451,7 +376,10 @@ func GroupMigration(ctx context.Context, init *core.Partition, cfg Config) (Resu
 		}
 		locked := map[*core.Node]bool{}
 		work := cur.Clone()
-		wm := newMover(cfg, work)
+		wm, err := cfg.Eval.Delta(work, cfg.Policy)
+		if err != nil {
+			return Result{}, err
+		}
 		var seq []move
 
 		for len(locked) < len(g.Nodes) {
@@ -542,7 +470,10 @@ func swapPass(ctx context.Context, g *core.Graph, cur *core.Partition, curCost f
 		allowed[n] = set
 	}
 	work := cur.Clone()
-	wm := newMover(cfg, work)
+	wm, err := cfg.Eval.Delta(work, cfg.Policy)
+	if err != nil {
+		return 0, false, err
+	}
 	trials := 0
 	for {
 		if cancelled(ctx) || !cfg.budgetLeft(start) {
@@ -609,7 +540,10 @@ func Anneal(ctx context.Context, init *core.Partition, cfg Config) (Result, erro
 		iters = 2000
 	}
 	cur := init.Clone()
-	m := newMover(cfg, cur)
+	m, err := cfg.Eval.Delta(cur, cfg.Policy)
+	if err != nil {
+		return Result{}, err
+	}
 	curCost, err := m.Cost()
 	if err != nil {
 		return Result{}, err
@@ -736,30 +670,24 @@ func Anneal(ctx context.Context, init *core.Partition, cfg Config) (Result, erro
 // partition found so far is returned with Partial set.
 func Exhaustive(ctx context.Context, g *core.Graph, cfg Config) (Result, error) {
 	start := cfg.Eval.Evals
-	cands := make([][]core.Component, len(g.Nodes))
+	d, ids, err := bindVector(g, cfg)
+	if err != nil {
+		return Result{}, err
+	}
 	total := 1.0
-	for i, n := range g.Nodes {
-		cands[i] = Allowed(g, n)
-		if len(cands[i]) == 0 {
-			return Result{}, fmt.Errorf("partition: node %q has no candidate component", n.Name)
-		}
-		total *= float64(len(cands[i]))
-		if total > 1e7 {
+	for _, cands := range ids {
+		if total *= float64(len(cands)); total > 1e7 {
 			return Result{}, fmt.Errorf("partition: search space too large for exhaustive enumeration (%g partitions)", total)
 		}
 	}
-
-	pt := core.NewPartition(g)
-	var best *core.Partition
+	vec := d.asg.NodeComp
+	bestVec := make([]int32, len(ids))
 	bestCost := math.Inf(1)
-	partial := false
+	found, partial := false, false
 	visited := 0
 	var recurse func(i int) error
 	recurse = func(i int) error {
-		if partial {
-			return nil
-		}
-		if i == len(g.Nodes) {
+		if i == len(ids) {
 			if visited%checkInterval == 0 && cancelled(ctx) {
 				partial = true
 				return nil
@@ -769,25 +697,20 @@ func Exhaustive(ctx context.Context, g *core.Graph, cfg Config) (Result, error) 
 				return nil
 			}
 			visited++
-			cost, err := evalWith(cfg, pt)
+			cost, err := d.costCandidate()
 			if err != nil {
 				return err
 			}
 			if cost < bestCost {
-				bestCost = cost
-				best = pt.Clone()
+				bestCost, found = cost, true
+				copy(bestVec, vec)
 			}
 			return nil
 		}
-		for _, comp := range cands[i] {
-			if err := pt.Assign(g.Nodes[i], comp); err != nil {
+		for _, c := range ids[i] {
+			vec[i] = c
+			if err := recurse(i + 1); err != nil || partial {
 				return err
-			}
-			if err := recurse(i + 1); err != nil {
-				return err
-			}
-			if partial {
-				return nil
 			}
 		}
 		return nil
@@ -795,8 +718,9 @@ func Exhaustive(ctx context.Context, g *core.Graph, cfg Config) (Result, error) 
 	if err := recurse(0); err != nil {
 		return Result{}, err
 	}
-	if best != nil {
-		if err := ApplyBusPolicy(best, cfg.Policy); err != nil {
+	var best *core.Partition
+	if found {
+		if best, err = materialize(g, d, bestVec, cfg.Policy); err != nil {
 			return Result{}, err
 		}
 	}

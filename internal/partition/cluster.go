@@ -122,11 +122,11 @@ func HierarchicalClusters(g *core.Graph, k int) ([]Cluster, int, error) {
 // clusters and returns the complete mapping built so far with Partial set.
 func ClusterGreedy(ctx context.Context, g *core.Graph, cfg Config) (Result, error) {
 	start := cfg.Eval.Evals
-	comps := g.Components()
-	if len(comps) == 0 {
+	nComps := len(g.Components())
+	if nComps == 0 {
 		return Result{}, fmt.Errorf("partition: graph has no components")
 	}
-	k := len(comps)
+	k := nComps
 	if k > len(g.Nodes) {
 		k = len(g.Nodes)
 	}
@@ -136,35 +136,21 @@ func ClusterGreedy(ctx context.Context, g *core.Graph, cfg Config) (Result, erro
 	}
 
 	// Seed everything legal, then move cluster by cluster.
-	pt := core.NewPartition(g)
-	for _, n := range g.Nodes {
-		cands := Allowed(g, n)
-		if len(cands) == 0 {
-			return Result{}, fmt.Errorf("partition: node %q has no candidate component", n.Name)
-		}
-		if err := pt.Assign(n, cands[0]); err != nil {
-			return Result{}, err
-		}
+	d, ids, err := bindVector(g, cfg)
+	if err != nil {
+		return Result{}, err
 	}
-
-	assignCluster := func(cl Cluster, comp core.Component) error {
+	vec := d.asg.NodeComp
+	assignCluster := func(cl Cluster, comp int32) {
 		for _, n := range cl.Nodes {
-			target := comp
-			ok := false
-			for _, cand := range Allowed(g, n) {
-				if cand == comp {
-					ok = true
-					break
+			j, _ := d.deps.Index(n)
+			vec[j] = ids[j][0]
+			for _, c := range ids[j] {
+				if c == comp {
+					vec[j] = comp
 				}
 			}
-			if !ok {
-				target = Allowed(g, n)[0]
-			}
-			if err := pt.Assign(n, target); err != nil {
-				return err
-			}
 		}
-		return nil
 	}
 
 	partial := false
@@ -173,13 +159,10 @@ func ClusterGreedy(ctx context.Context, g *core.Graph, cfg Config) (Result, erro
 			partial = true
 			break
 		}
-		bestCost := math.Inf(1)
-		var bestComp core.Component
-		for _, comp := range comps {
-			if err := assignCluster(cl, comp); err != nil {
-				return Result{}, err
-			}
-			cost, err := evalWith(cfg, pt)
+		bestCost, bestComp := math.Inf(1), int32(-1)
+		for comp := int32(0); comp < int32(nComps); comp++ {
+			assignCluster(cl, comp)
+			cost, err := d.costCandidate()
 			if err != nil {
 				return Result{}, err
 			}
@@ -187,13 +170,15 @@ func ClusterGreedy(ctx context.Context, g *core.Graph, cfg Config) (Result, erro
 				bestCost, bestComp = cost, comp
 			}
 		}
-		if err := assignCluster(cl, bestComp); err != nil {
-			return Result{}, err
-		}
+		assignCluster(cl, bestComp)
 	}
-	cost, err := evalWith(cfg, pt)
+	cost, err := d.costCandidate()
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Best: pt, Cost: cost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
+	best, err := materialize(g, d, vec, cfg.Policy)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Best: best, Cost: cost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
 }

@@ -147,7 +147,7 @@ func (ev *Evaluator) sharedDeps() (*estimate.Deps, error) {
 
 // Snapshot returns the graph's compiled snapshot, shared read-only across
 // the evaluator and every clone. It errors when the graph cannot be
-// compiled or its access graph is recursive (no dependency index exists).
+// compiled.
 func (ev *Evaluator) Snapshot() (*core.Snapshot, error) {
 	deps, err := ev.sharedDeps()
 	if err != nil {
@@ -294,85 +294,32 @@ func Allowed(g *core.Graph, n *core.Node) []core.Component {
 // BusPolicy derives the channel→bus mapping from the node mapping. The
 // paper treats channel mapping as part of the partition; in practice tools
 // re-derive it after each node move, which is what the algorithms here do.
-//
-// A policy must be endpoint-local: its choice for a channel may depend
-// only on that channel and the mapping of the channel's own endpoints.
-// The incremental delta evaluator relies on this to re-derive only the
-// channels incident to a moved node (SingleBus and InternalExternal both
-// qualify). A policy that inspects unrelated nodes needs Config.FullEval.
-type BusPolicy func(pt *core.Partition, c *core.Channel) *core.Bus
+// A channel whose endpoints share a component rides the Internal bus; a
+// component-crossing or port channel rides the External one. The choice
+// depends only on the channel's own endpoints, so the delta evaluator
+// re-derives just the channels incident to a moved node.
+type BusPolicy struct{ Internal, External *core.Bus }
 
 // SingleBus maps every channel to one bus.
-func SingleBus(b *core.Bus) BusPolicy {
-	return func(*core.Partition, *core.Channel) *core.Bus { return b }
-}
+func SingleBus(b *core.Bus) BusPolicy { return BusPolicy{b, b} }
 
 // InternalExternal maps component-internal channels to the internal bus and
 // component-crossing (or port) channels to the external bus.
 func InternalExternal(internal, external *core.Bus) BusPolicy {
-	return func(pt *core.Partition, c *core.Channel) *core.Bus {
-		if dst := pt.DstComp(c); dst != nil && dst == pt.BvComp(c.Src) {
-			return internal
-		}
-		return external
-	}
+	return BusPolicy{internal, external}
 }
 
 // ApplyBusPolicy rewrites the partition's channel mapping per the policy.
 func ApplyBusPolicy(pt *core.Partition, policy BusPolicy) error {
+	if policy.Internal == nil || policy.External == nil {
+		return fmt.Errorf("partition: bus policy has a nil bus")
+	}
 	for _, c := range pt.Graph().Channels {
-		b := policy(pt, c)
-		if b == nil {
-			return fmt.Errorf("partition: bus policy returned nil for channel %s", c.Key())
+		b := policy.External
+		if dst := pt.DstComp(c); dst != nil && dst == pt.BvComp(c.Src) {
+			b = policy.Internal
 		}
 		pt.AssignChan(c, b)
 	}
 	return nil
-}
-
-// IndexedPolicy is the snapshot-native form of a BusPolicy: it derives the
-// bus ID for channel ci from the assignment vector alone — no Partition,
-// no pointers, no map lookups — so the delta evaluator's trial moves and
-// SnapRandom's candidate loop stay pure array work. The same
-// endpoint-local contract applies: the choice may depend only on the
-// channel and its endpoints' mapping. Set one in Config.IdxPolicy as the
-// indexed twin of Config.Policy; it must derive the same bus (by ID) that
-// the pointer policy derives, or the differential guarantees are void.
-type IndexedPolicy func(s *core.Snapshot, a *core.Assignment, ci int32) int32
-
-// SingleBusIdx is SingleBus in indexed form: every channel on b. The bus
-// is resolved against g once, up front; a bus outside g yields a policy
-// that always returns -1, which the evaluator reports as an error.
-func SingleBusIdx(g *core.Graph, b *core.Bus) IndexedPolicy {
-	bi := int32(-1)
-	for i, x := range g.Buses {
-		if x == b {
-			bi = int32(i)
-			break
-		}
-	}
-	return func(*core.Snapshot, *core.Assignment, int32) int32 { return bi }
-}
-
-// InternalExternalIdx is InternalExternal in indexed form:
-// component-internal channels on the internal bus, component-crossing (or
-// port) channels on the external bus.
-func InternalExternalIdx(g *core.Graph, internal, external *core.Bus) IndexedPolicy {
-	ii, ei := int32(-1), int32(-1)
-	for i, x := range g.Buses {
-		if x == internal {
-			ii = int32(i)
-		}
-		if x == external {
-			ei = int32(i)
-		}
-	}
-	return func(s *core.Snapshot, a *core.Assignment, ci int32) int32 {
-		if di := s.ChanDst[ci]; di >= 0 {
-			if dc := a.NodeComp[di]; dc >= 0 && dc == a.NodeComp[s.ChanSrc[ci]] {
-				return ii
-			}
-		}
-		return ei
-	}
 }

@@ -12,21 +12,22 @@ package partition
 // is what lets the searches explore thousands of designs per second on
 // graphs where a full re-estimate would dominate.
 //
-// Since the snapshot refactor the evaluator's working state is a flat
-// core.Assignment vector over the graph's compiled core.Snapshot: a trial
-// move is int32 stores and array sums, with no partition-map or
-// annotation-map access on the hot path at all. The bound Partition is the
-// caller-visible mirror — trials never touch it when an IndexedPolicy is
-// installed (commits write through), and under a pointer BusPolicy trials
-// touch only its node mapping, which the policy is allowed to read.
+// The evaluator's working state is a flat core.Assignment vector over the
+// graph's compiled core.Snapshot: a trial move is int32 stores and array
+// sums, with no partition-map or annotation-map access on the hot path at
+// all. The bound Partition is the caller-visible mirror: trials never
+// touch it, commits write through to it.
 //
-// Correctness discipline: the full recompute stays the oracle. Integer
-// sums (cut counts, IO widths) are maintained exactly; floating-point
-// sums (sizes, bitrates, cut traffic) drift by one rounding error per
-// inverse update, so they are re-derived from scratch — in the oracle's
-// summation order — every deltaRefreshInterval moves and on every Cost
-// call. Exectime values are recomputed from scratch per affected node
-// (estimate.Incr), so they carry no incremental drift at all.
+// Correctness discipline: the full recompute (Evaluator.Cost) stays the
+// oracle. Integer sums (cut counts, IO widths) are maintained exactly;
+// floating-point sums (sizes, bitrates, cut traffic) drift by one
+// rounding error per inverse update, so they are re-derived from scratch —
+// in the oracle's summation order — every deltaRefreshInterval moves and
+// on every Cost call. Exectime values are recomputed from scratch per affected node
+// (estimate.Incr), so they carry no incremental drift at all. On a
+// recursive access graph the Exectime of a node that reaches a cycle is
+// undefined; like the oracle, the evaluator fails only when a deadline or
+// a rate-tracked channel reads one.
 
 import (
 	"fmt"
@@ -51,18 +52,17 @@ const deltaRefreshInterval = 64
 // shared between goroutines (the Snapshot and Deps it reads are shared;
 // its scratch arrays are not).
 //
-// MoveCost and Cost fire the evaluator's fault-injection hook and count
-// one evaluation each, exactly like Evaluator.Cost; Apply and Undo are
-// bookkeeping and count nothing.
+// MoveCost, SwapCost and Cost fire the evaluator's fault-injection hook
+// and count one evaluation each, exactly like Evaluator.Cost; Apply and
+// ApplySwap are bookkeeping and count nothing.
 type DeltaEval struct {
-	ev     *Evaluator
-	deps   *estimate.Deps
-	snap   *core.Snapshot
-	incr   *estimate.Incr
-	pt     *core.Partition
-	policy BusPolicy
-	ipol   IndexedPolicy
-	w      Weights // captured at Rebind; see Evaluator's EstOpt contract
+	ev             *Evaluator
+	deps           *estimate.Deps
+	snap           *core.Snapshot
+	incr           *estimate.Incr
+	pt             *core.Partition
+	intBus, extBus int32   // the bus policy, resolved at Rebind
+	w              Weights // captured at Rebind; see Evaluator's EstOpt contract
 
 	// Static tables, built once per evaluator. Object pointers are kept
 	// only to translate between the caller's pointer world and the
@@ -83,7 +83,7 @@ type DeltaEval struct {
 	// source of truth; everything below it is sums derived from it.
 	asg     *core.Assignment
 	chBr    []float64 // last-computed bitrate per channel (rate-tracked buses)
-	chBad   []bool    // channel has traffic but zero source Exectime
+	chBad   []bool    // the oracle fails on this channel's bitrate (cyclic or zero-time source)
 	hasRate []bool    // bus participates in the Rate term (constrained, W.Rate > 0)
 	sizeSum []float64 // per component
 	ioSum   []int32   // per component: Σ widths of buses with a cut channel
@@ -93,23 +93,15 @@ type DeltaEval struct {
 	cut     float64   // Σ chVol over component-crossing channels
 
 	sinceRefresh int
-	undoNode     int32
-	undoComp     int32
-	undoNode2    int32 // swap partner (undoIsSwap only)
-	undoComp2    int32
-	undoIsSwap   bool
-	hasUndo      bool
 	broken       bool // a move failed midway; sums are unreliable
 }
 
 // Delta returns the evaluator's pooled incremental evaluator, bound to pt
-// with its channel mapping (re)derived by policy — the same derivation
-// evalWith performs, written through to pt. It returns an error when the
-// graph does not support incremental evaluation (recursive access graph,
-// non-positive bus width — the error is sticky) or when pt is not a
-// complete, estimable mapping; callers then fall back to full recompute,
-// which reports such states with precise diagnostics or, per its
-// semantics, tolerates them.
+// with its channel mapping derived by policy and written through to pt.
+// It errors, stickily, on inputs it refuses outright: a bus with a
+// non-positive width, or estimate.Options.IgnoreRecursion. It errors per
+// call when pt is not a complete mapping the estimator can cost: an
+// unmapped node, or a node without weights for its component type.
 func (ev *Evaluator) Delta(pt *core.Partition, policy BusPolicy) (*DeltaEval, error) {
 	if ev.deltaErr != nil {
 		return nil, ev.deltaErr
@@ -137,6 +129,9 @@ func newDeltaEval(ev *Evaluator) (*DeltaEval, error) {
 		return nil, err
 	}
 	g := ev.G
+	if ev.EstOpt.IgnoreRecursion {
+		return nil, fmt.Errorf("partition: incremental evaluation does not support estimate.Options.IgnoreRecursion")
+	}
 	for _, b := range g.Buses {
 		// The full estimator only trips over a degenerate bus when a
 		// deadline forces an Exectime through it; incremental evaluation
@@ -204,10 +199,14 @@ func newDeltaEval(ev *Evaluator) (*DeltaEval, error) {
 // Rebind points the evaluator at a partition and bus policy, applies the
 // policy to every channel (writing the derivation through to pt), and
 // re-derives every sum — O(graph), paid once per search, not per move.
-// Rebind clears any installed IndexedPolicy; reinstall it afterwards.
 func (d *DeltaEval) Rebind(pt *core.Partition, policy BusPolicy) error {
-	d.pt, d.policy, d.ipol = pt, policy, nil
-	d.broken, d.hasUndo, d.undoIsSwap = false, false, false
+	var okInt, okExt bool
+	d.intBus, okInt = d.busIdx[policy.Internal]
+	d.extBus, okExt = d.busIdx[policy.External]
+	if !okInt || !okExt {
+		return fmt.Errorf("partition: bus policy has a nil bus or one outside the graph")
+	}
+	d.pt, d.broken = pt, false
 	d.w = d.ev.W
 	for i := range d.hasRate {
 		d.hasRate[i] = false
@@ -229,16 +228,9 @@ func (d *DeltaEval) Rebind(pt *core.Partition, policy BusPolicy) error {
 		d.asg.NodeComp[i] = ci
 	}
 	for ci, c := range d.chans {
-		b := policy(pt, c)
-		if b == nil {
-			return fmt.Errorf("partition: bus policy returned nil for channel %s", c.Key())
-		}
-		bi, ok := d.busIdx[b]
-		if !ok {
-			return fmt.Errorf("partition: bus policy returned a bus outside the graph for channel %s", c.Key())
-		}
+		bi := d.chanBus(int32(ci))
 		d.asg.ChanBus[ci] = bi
-		pt.AssignChan(c, b)
+		pt.AssignChan(c, d.buses[bi])
 	}
 	if err := d.incr.Bind(d.asg); err != nil {
 		return err
@@ -246,17 +238,14 @@ func (d *DeltaEval) Rebind(pt *core.Partition, policy BusPolicy) error {
 	return d.refresh()
 }
 
-// UseIndexedPolicy installs the snapshot-native form of the bound bus
-// policy. It MUST derive the same bus for every channel as the BusPolicy
-// the evaluator was rebound with — it is a faster expression of the same
-// policy, not an override. With it installed, trial moves (MoveCost) run
-// entirely on the assignment vector and never touch the bound Partition;
-// commits still write through. Rebind clears it. Installing nil reverts
-// to the pointer policy.
-func (d *DeltaEval) UseIndexedPolicy(p IndexedPolicy) { d.ipol = p }
-
-// Partition returns the partition the evaluator is bound to.
-func (d *DeltaEval) Partition() *core.Partition { return d.pt }
+// chanBus applies the bus policy to channel ci under the current
+// assignment: the internal bus when both endpoints share a component.
+func (d *DeltaEval) chanBus(ci int32) int32 {
+	if di := d.snap.ChanDst[ci]; di >= 0 && d.asg.NodeComp[di] == d.asg.NodeComp[d.snap.ChanSrc[ci]] {
+		return d.intBus
+	}
+	return d.extBus
+}
 
 // refresh re-derives every floating-point sum from scratch, in the same
 // summation order the full recompute uses, resetting accumulated drift.
@@ -321,18 +310,43 @@ func (d *DeltaEval) refreshIfDue() error {
 }
 
 // bitrate evaluates eq. 2 for one channel from the current Exectime of
-// its source. bad reports non-zero traffic from a zero-Exectime source,
-// which the full estimator treats as an error.
+// its source. bad reports what the full estimator treats as an error: a
+// cyclic source (its Exectime is read even for zero traffic), or non-zero
+// traffic from a zero-Exectime source.
 func (d *DeltaEval) bitrate(ci int) (br float64, bad bool) {
+	src := d.snap.ChanSrc[ci]
+	if d.deps.Cyclic(src) {
+		return 0, true
+	}
 	vol := d.chRVol[ci]
 	if vol == 0 {
 		return 0, false
 	}
-	et := d.incr.Et(d.snap.ChanSrc[ci])
+	et := d.incr.Et(src)
 	if et == 0 {
 		return 0, true
 	}
 	return vol / et, false
+}
+
+// rateErr is the full estimator's error for a bus whose bitrate is
+// undefined (badCnt > 0).
+func (d *DeltaEval) rateErr(bi int32) error {
+	s := d.snap
+	for ci, bad := range d.chBad {
+		if !bad || d.asg.ChanBus[ci] != bi {
+			continue
+		}
+		if src := s.ChanSrc[ci]; d.deps.Cyclic(src) {
+			return cycleErr(s.NodeNames[src])
+		}
+		return fmt.Errorf("estimate: channel %s source %q has zero execution time but non-zero traffic", s.ChanKey(int32(ci)), s.NodeNames[s.ChanSrc[ci]])
+	}
+	return fmt.Errorf("estimate: bus %q has an undefined bitrate", s.BusNames[bi])
+}
+
+func cycleErr(node string) error {
+	return fmt.Errorf("estimate: access graph cycle (recursion) reachable from %q", node)
 }
 
 // incCut records one more cut channel of component comp on bus; the first
@@ -379,45 +393,11 @@ func (d *DeltaEval) attachCut(ci int32) {
 	}
 }
 
-// rederive re-applies the bus policy to the given channel IDs (the ones
-// incident to a moved node — the only ones an endpoint-local policy can
-// change), updating the assignment vector. With an IndexedPolicy this is
-// pure array work; under a pointer policy the policy reads the bound
-// partition's node mapping (which move keeps current).
-func (d *DeltaEval) rederive(chs []int32) error {
-	if d.ipol != nil {
-		nb := int32(d.snap.NumBuses())
-		for _, ci := range chs {
-			bi := d.ipol(d.snap, d.asg, ci)
-			if bi < 0 || bi >= nb {
-				return fmt.Errorf("partition: indexed bus policy returned bus %d out of range for channel %s", bi, d.snap.ChanKey(ci))
-			}
-			d.asg.ChanBus[ci] = bi
-		}
-		return nil
-	}
-	for _, ci := range chs {
-		c := d.chans[ci]
-		b := d.policy(d.pt, c)
-		if b == nil {
-			return fmt.Errorf("partition: bus policy returned nil for channel %s", c.Key())
-		}
-		bi, ok := d.busIdx[b]
-		if !ok {
-			return fmt.Errorf("partition: bus policy returned a bus outside the graph for channel %s", c.Key())
-		}
-		d.asg.ChanBus[ci] = bi
-	}
-	return nil
-}
-
 // move transitions the assignment vector and every sum from "ni on its
 // current component" to "ni on toIdx". Validation that can fail happens
-// before any sum is touched; a failure after mutation begins (a policy
-// misbehaving mid-move) marks the evaluator broken. With an IndexedPolicy
-// the bound Partition is untouched; under a pointer policy only its node
-// mapping is updated (so the policy sees the move), which the inverse
-// move restores — commits make the partition fully current via syncNode.
+// before any sum is touched; a failure after mutation begins marks the
+// evaluator broken. The bound Partition is untouched — commits make it
+// current via syncNode.
 func (d *DeltaEval) move(ni, toIdx int32) error {
 	fromIdx := d.asg.NodeComp[ni]
 	if toIdx == fromIdx {
@@ -435,11 +415,6 @@ func (d *DeltaEval) move(ni, toIdx int32) error {
 	if s.NodeKind[ni] == core.BehaviorNode && s.IsMem(toIdx) {
 		// Same rule, and same message, as Partition.Assign.
 		return fmt.Errorf("partition: behavior %q may only map to a processor, not %q", s.NodeNames[ni], s.CompNames[toIdx])
-	}
-	if d.ipol == nil {
-		// The pointer policy reads pt's node mapping during rederive.
-		// The checks above are exactly Assign's, so this cannot fail.
-		_ = d.pt.Assign(d.ev.G.Nodes[ni], d.comps[toIdx])
 	}
 
 	aff := d.deps.Affected(ni)
@@ -469,16 +444,14 @@ func (d *DeltaEval) move(ni, toIdx int32) error {
 	d.sizeSum[toIdx] += wTo
 	d.asg.NodeComp[ni] = toIdx
 
-	// Reattach under the new mapping: incident buses first (the policy
-	// sees the updated mapping), then the affected Exectimes
-	// callee-first, then bitrates and cut sums.
-	if err := d.rederive(s.Out(ni)); err != nil {
-		d.broken = true
-		return err
+	// Reattach under the new mapping: incident buses first (only they
+	// can change under the endpoint-local policy), then the affected
+	// Exectimes callee-first, then bitrates and cut sums.
+	for _, ci := range s.Out(ni) {
+		d.asg.ChanBus[ci] = d.chanBus(ci)
 	}
-	if err := d.rederive(s.In(ni)); err != nil {
-		d.broken = true
-		return err
+	for _, ci := range s.In(ni) {
+		d.asg.ChanBus[ci] = d.chanBus(ci)
 	}
 	if err := d.incr.RecomputeAffected(aff); err != nil {
 		d.broken = true
@@ -511,8 +484,8 @@ func (d *DeltaEval) move(ni, toIdx int32) error {
 
 // syncNode writes node ni's committed state — its component and the buses
 // of its incident channels — through to the bound Partition, keeping the
-// caller-visible mirror current after Apply/Undo. Only channels incident
-// to the moved node can have changed under an endpoint-local policy.
+// caller-visible mirror current after a commit. Only channels incident to
+// the moved node can have changed under the endpoint-local policy.
 func (d *DeltaEval) syncNode(ni int32) {
 	_ = d.pt.Assign(d.ev.G.Nodes[ni], d.comps[d.asg.NodeComp[ni]])
 	for _, ci := range d.snap.Out(ni) {
@@ -543,13 +516,16 @@ func (d *DeltaEval) costNow() (float64, error) {
 	}
 	if w.Time > 0 {
 		for k, ni := range d.dlNode {
+			if d.deps.Cyclic(ni) {
+				return 0, cycleErr(s.NodeNames[ni])
+			}
 			cost += w.Time * excess(d.incr.Et(ni), d.dlLimit[k])
 		}
 	}
 	if w.Rate > 0 {
 		for k, bi := range d.rateBus {
 			if d.badCnt[bi] > 0 {
-				return 0, fmt.Errorf("estimate: bus %q carries traffic from a source with zero execution time", s.BusNames[bi])
+				return 0, d.rateErr(bi)
 			}
 			rate := d.busRate[bi]
 			if d.ev.EstOpt.ClampBusBitrate {
@@ -615,9 +591,8 @@ func (d *DeltaEval) MoveCost(n *core.Node, to core.Component) (float64, error) {
 	return cost, cerr
 }
 
-// Apply commits the move of n to `to` (a no-op if already there) and
-// remembers it for Undo, writing the new state through to the bound
-// Partition. It is bookkeeping, not an evaluation: no hook fires and no
+// Apply commits the move of n to `to` (a no-op if already there), writing
+// the new state through to the bound Partition. It is bookkeeping, not an evaluation: no hook fires and no
 // evaluation is counted, matching a search loop that trials with MoveCost
 // and then commits the winner.
 func (d *DeltaEval) Apply(n *core.Node, to core.Component) error {
@@ -635,34 +610,10 @@ func (d *DeltaEval) Apply(n *core.Node, to core.Component) error {
 	if !ok {
 		return fmt.Errorf("partition: component %q is not in the evaluator's graph", to.CompName())
 	}
-	d.undoNode, d.undoComp, d.undoIsSwap, d.hasUndo = ni, d.asg.NodeComp[ni], false, true
 	if err := d.move(ni, toIdx); err != nil {
 		return err
 	}
 	d.syncNode(ni)
-	return nil
-}
-
-// Undo reverts the most recent Apply or ApplySwap. Only one level is kept.
-func (d *DeltaEval) Undo() error {
-	if d.broken {
-		return fmt.Errorf("partition: delta evaluator is broken by an earlier failed move; Rebind it")
-	}
-	if !d.hasUndo {
-		return fmt.Errorf("partition: Undo without a preceding Apply")
-	}
-	d.hasUndo = false
-	if d.undoIsSwap {
-		d.undoIsSwap = false
-		if err := d.move(d.undoNode2, d.undoComp2); err != nil {
-			return err
-		}
-		d.syncNode(d.undoNode2)
-	}
-	if err := d.move(d.undoNode, d.undoComp); err != nil {
-		return err
-	}
-	d.syncNode(d.undoNode)
 	return nil
 }
 
@@ -726,10 +677,10 @@ func (d *DeltaEval) SwapCost(a, b *core.Node) (float64, error) {
 	return cost, cerr
 }
 
-// ApplySwap commits the exchange of a's and b's components and remembers
-// it for Undo, writing the new state through to the bound Partition. Like
-// Apply it is bookkeeping: no hook fires and no evaluation is counted. A
-// degenerate swap commits nothing but still arms Undo (as a no-op).
+// ApplySwap commits the exchange of a's and b's components, writing the
+// new state through to the bound Partition. Like Apply it is bookkeeping:
+// no hook fires and no evaluation is counted. A degenerate swap commits
+// nothing.
 func (d *DeltaEval) ApplySwap(a, b *core.Node) error {
 	if d.broken {
 		return fmt.Errorf("partition: delta evaluator is broken by an earlier failed move; Rebind it")
@@ -741,9 +692,6 @@ func (d *DeltaEval) ApplySwap(a, b *core.Node) error {
 	if err != nil {
 		return err
 	}
-	d.undoNode, d.undoComp = ai, ca
-	d.undoNode2, d.undoComp2 = bi, cb
-	d.undoIsSwap, d.hasUndo = true, true
 	if ai == bi || ca == cb {
 		return nil
 	}
@@ -778,24 +726,19 @@ func (d *DeltaEval) Cost() (float64, error) {
 }
 
 // costCandidate costs the current assignment vector from scratch: every
-// channel's bus re-derived by the installed IndexedPolicy, every Exectime
-// recomputed callee-first, every sum re-derived — O(graph), but pure array
-// work with zero allocations and no Partition access, which is what lets
-// SnapRandom cost thousands of whole candidate designs per second. It
-// counts one evaluation. The bound Partition is NOT updated; callers own
-// the assignment vector and materialize a Partition only for the winner.
+// channel's bus re-derived by the policy, every Exectime recomputed
+// callee-first, every sum re-derived — O(graph), but pure array work with
+// zero allocations and no Partition access, which is what lets Random,
+// Exhaustive and ClusterGreedy cost thousands of whole candidate designs
+// per second. It counts one evaluation. The bound Partition is NOT
+// updated; callers own the assignment vector and materialize a Partition
+// only for the winner.
 func (d *DeltaEval) costCandidate() (float64, error) {
 	if err := d.beginEval(); err != nil {
 		return 0, err
 	}
-	nb := int32(d.snap.NumBuses())
 	for ci := range d.asg.ChanBus {
-		bi := d.ipol(d.snap, d.asg, int32(ci))
-		if bi < 0 || bi >= nb {
-			d.broken = true
-			return 0, fmt.Errorf("partition: indexed bus policy returned bus %d out of range for channel %s", bi, d.snap.ChanKey(int32(ci)))
-		}
-		d.asg.ChanBus[ci] = bi
+		d.asg.ChanBus[ci] = d.chanBus(int32(ci))
 	}
 	if err := d.incr.RecomputeAffected(d.deps.Order()); err != nil {
 		d.broken = true

@@ -4,7 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"strings"
+	"sync"
 	"testing"
 
 	"specsyn/internal/core"
@@ -69,25 +69,21 @@ func deltaScenarios(t testing.TB) []deltaScenario {
 // costed by a dedicated evaluator.
 func oracleCost(t testing.TB, ev *Evaluator, pt *core.Partition, policy BusPolicy) float64 {
 	t.Helper()
-	clone := pt.Clone()
-	if err := ApplyBusPolicy(clone, policy); err != nil {
-		t.Fatal(err)
-	}
-	cost, err := ev.Cost(clone)
+	cost, err := oracleTry(ev, pt, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cost
 }
 
-// TestDeltaMatchesOracleRandomMoves is the differential property test of
-// the tentpole: over long random move sequences — trials, commits, undos,
-// spanning many refresh intervals — every incremental cost must match the
-// full recompute within 1e-9.
+// TestDeltaMatchesOracleRandomMoves is the central differential property
+// test: over long random move sequences — trials, commits, and commits
+// undone by their inverse move, spanning many refresh intervals — every
+// incremental cost must match the full recompute within 1e-9. Commits
+// write through to pt, so the oracle must agree on it at any moment.
 func TestDeltaMatchesOracleRandomMoves(t *testing.T) {
 	const steps = 1200
 	for _, sc := range deltaScenarios(t) {
-		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
 			g := sc.graph
 			ev := NewEvaluator(g, sc.cons, sc.w, sc.opt)
@@ -112,18 +108,13 @@ func TestDeltaMatchesOracleRandomMoves(t *testing.T) {
 				if err := trial.Assign(n, to); err != nil {
 					t.Fatal(err)
 				}
-				if err := ApplyBusPolicy(trial, policy); err != nil {
-					t.Fatal(err)
-				}
-				want, err := oracle.Cost(trial)
-				if err != nil {
-					t.Fatalf("step %d: oracle: %v", step, err)
-				}
+				want := oracleCost(t, oracle, trial, policy)
 				if math.Abs(got-want) > 1e-9 {
 					t.Fatalf("step %d: MoveCost(%s→%s) = %.15g, oracle %.15g (Δ %g)",
 						step, n.Name, to.CompName(), got, want, got-want)
 				}
 
+				from := pt.BvComp(n)
 				switch r := rng.Float64(); {
 				case r < 0.45:
 					if err := d.Apply(n, to); err != nil {
@@ -133,8 +124,8 @@ func TestDeltaMatchesOracleRandomMoves(t *testing.T) {
 					if err := d.Apply(n, to); err != nil {
 						t.Fatalf("step %d: Apply: %v", step, err)
 					}
-					if err := d.Undo(); err != nil {
-						t.Fatalf("step %d: Undo: %v", step, err)
+					if err := d.Apply(n, from); err != nil {
+						t.Fatalf("step %d: inverse Apply: %v", step, err)
 					}
 				}
 				if step%97 == 0 {
@@ -142,13 +133,11 @@ func TestDeltaMatchesOracleRandomMoves(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d: Cost: %v", step, err)
 					}
-					want := oracleCost(t, oracle, pt, policy)
-					if math.Abs(got-want) > 1e-9 {
+					if want := oracleCost(t, oracle, pt, policy); math.Abs(got-want) > 1e-9 {
 						t.Fatalf("step %d: committed Cost = %.15g, oracle %.15g", step, got, want)
 					}
 				}
 			}
-			// Final state, once more, through both paths.
 			got, err := d.Cost()
 			if err != nil {
 				t.Fatal(err)
@@ -167,8 +156,8 @@ func (h *countingHook) BeforeEval() error                  { h.n++; return nil }
 func (h *countingHook) ForLeg(int, int64) faultinject.Hook { return h }
 
 // TestDeltaEvalAccounting pins the eval/hook contract: MoveCost and Cost
-// each fire the hook once and count one evaluation; Rebind, Apply and Undo
-// count nothing.
+// each fire the hook once and count one evaluation; Rebind and Apply count
+// nothing.
 func TestDeltaEvalAccounting(t *testing.T) {
 	g := benchGraph(t, 6, 3)
 	ev := NewEvaluator(g, Constraints{}, DefaultWeights(), estimate.Options{})
@@ -183,7 +172,7 @@ func TestDeltaEvalAccounting(t *testing.T) {
 		t.Fatalf("binding the delta evaluator counted evals: hook %d, evals %d", hook.n, ev.Evals)
 	}
 	n := g.NodeByName("b1")
-	asic := g.ProcByName("asic")
+	cpu, asic := g.ProcByName("cpu"), g.ProcByName("asic")
 	for i := 0; i < 5; i++ {
 		if _, err := d.MoveCost(n, asic); err != nil {
 			t.Fatal(err)
@@ -193,7 +182,7 @@ func TestDeltaEvalAccounting(t *testing.T) {
 		if err := d.Apply(n, asic); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Undo(); err != nil {
+		if err := d.Apply(n, cpu); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,12 +192,12 @@ func TestDeltaEvalAccounting(t *testing.T) {
 		}
 	}
 	if hook.n != 7 || ev.Evals != 7 {
-		t.Errorf("5 MoveCost + 3 Apply/Undo + 2 Cost: hook %d, evals %d; want 7, 7", hook.n, ev.Evals)
+		t.Errorf("5 MoveCost + 6 Apply + 2 Cost: hook %d, evals %d; want 7, 7", hook.n, ev.Evals)
 	}
 }
 
-// TestDeltaUndo checks that Undo restores both the mapping and the cost,
-// and that a second Undo is refused.
+// TestDeltaUndo checks that undoing a committed move by applying its
+// inverse restores both the mapping and the cost.
 func TestDeltaUndo(t *testing.T) {
 	g := benchGraph(t, 6, 3)
 	ev := NewEvaluator(g, Constraints{Deadline: map[string]float64{"b0": 25}}, DefaultWeights(), estimate.Options{})
@@ -226,21 +215,18 @@ func TestDeltaUndo(t *testing.T) {
 	if err := d.Apply(n, g.ProcByName("asic")); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Undo(); err != nil {
+	if err := d.Apply(n, from); err != nil {
 		t.Fatal(err)
 	}
 	if pt.BvComp(n) != from {
-		t.Errorf("Undo left %s on %s, want %s", n.Name, pt.BvComp(n).CompName(), from.CompName())
+		t.Errorf("inverse move left %s on %s, want %s", n.Name, pt.BvComp(n).CompName(), from.CompName())
 	}
 	after, err := d.Cost()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(before-after) > 1e-9 {
-		t.Errorf("cost after Apply+Undo = %.15g, want %.15g", after, before)
-	}
-	if err := d.Undo(); err == nil {
-		t.Error("second Undo succeeded, want error")
+		t.Errorf("cost after move and inverse = %.15g, want %.15g", after, before)
 	}
 }
 
@@ -274,118 +260,165 @@ func TestMoveCostZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestDeltaFallsBackOnRecursion: a cyclic access graph cannot be evaluated
-// incrementally; Delta must fail (stickily) and the searches must fall
-// back to full recompute with identical results.
-func TestDeltaFallsBackOnRecursion(t *testing.T) {
-	g := benchGraph(t, 6, 3)
-	// Close a cycle b5 → b0 (benchGraph chains b0 → … → b5).
-	if err := g.AddChannel(&core.Channel{Src: g.NodeByName("b5"), Dst: g.NodeByName("b0"), AccFreq: 1, Bits: 8, Tag: core.NoTag}); err != nil {
-		t.Fatal(err)
-	}
-	// No deadline constraints: the full estimator never needs an Exectime,
-	// so full recompute tolerates the cycle.
-	ev := NewEvaluator(g, Constraints{}, DefaultWeights(), estimate.Options{})
-	pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
-	if _, err := ev.Delta(pt, SingleBus(g.Buses[0])); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("Delta on cyclic graph: err = %v, want cycle", err)
-	}
-	if _, err := ev.Delta(pt, SingleBus(g.Buses[0])); err == nil {
-		t.Fatal("second Delta call succeeded; the failure should be sticky")
-	}
-
-	cfg := Config{Eval: ev, Policy: SingleBus(g.Buses[0]), Seed: 1}
-	res, err := Greedy(context.Background(), g, cfg)
-	if err != nil {
-		t.Fatalf("Greedy with fallback: %v", err)
-	}
-	full := Config{Eval: NewEvaluator(g, Constraints{}, DefaultWeights(), estimate.Options{}), Policy: SingleBus(g.Buses[0]), Seed: 1, FullEval: true}
-	want, err := Greedy(context.Background(), g, full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != want.Cost || res.Evals != want.Evals {
-		t.Errorf("fallback Greedy = (%v, %d evals), full = (%v, %d evals)", res.Cost, res.Evals, want.Cost, want.Evals)
-	}
-}
-
-// TestSearchesDeltaMatchesFullEval runs the rewired searches both ways on
-// the same inputs: the incremental path must reproduce the full-recompute
-// path's result quality and evaluation count.
-func TestSearchesDeltaMatchesFullEval(t *testing.T) {
-	cons := Constraints{
-		Deadline:   map[string]float64{"b0": 25},
-		MaxBusRate: map[string]float64{"bus": 8},
-	}
-	mk := func(full bool) (Config, *core.Graph) {
-		g := benchGraph(t, 8, 4)
-		cfg := config(g, cons)
-		cfg.FullEval = full
-		return cfg, g
-	}
-
-	cfgD, gD := mk(false)
-	cfgF, gF := mk(true)
-	rd, err := Greedy(context.Background(), gD, cfgD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rf, err := Greedy(context.Background(), gF, cfgF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(rd.Cost-rf.Cost) > 1e-9 || rd.Evals != rf.Evals {
-		t.Errorf("Greedy delta = (%.15g, %d evals), full = (%.15g, %d evals)", rd.Cost, rd.Evals, rf.Cost, rf.Evals)
-	}
-
-	cfgD, gD = mk(false)
-	cfgF, gF = mk(true)
-	initD := core.AllToProcessor(gD, gD.Procs[0], gD.Buses[0])
-	initF := core.AllToProcessor(gF, gF.Procs[0], gF.Buses[0])
-	md, err := GroupMigration(context.Background(), initD, cfgD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mf, err := GroupMigration(context.Background(), initF, cfgF)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(md.Cost-mf.Cost) > 1e-9 {
-		t.Errorf("GroupMigration delta cost = %.15g, full = %.15g", md.Cost, mf.Cost)
-	}
-}
-
-// TestSearchResultsRecostCleanly: whatever the rewired searches report as
-// Result.Cost must match a fresh full recompute of Result.Best — the
-// incremental path may never report a cost its partition doesn't have.
+// TestSearchResultsRecostCleanly: whatever a search reports as Result.Cost
+// must match a fresh full recompute of Result.Best — the incremental path
+// may never report a cost its partition doesn't have. Every search runs,
+// each on every differential scenario.
 func TestSearchResultsRecostCleanly(t *testing.T) {
-	cons := Constraints{
-		Deadline:   map[string]float64{"b0": 25},
-		MaxBusRate: map[string]float64{"bus": 8},
+	for _, sc := range deltaScenarios(t) {
+		t.Run(sc.name, func(t *testing.T) {
+			g := sc.graph
+			cfg := func() Config {
+				return Config{Eval: NewEvaluator(g, sc.cons, sc.w, sc.opt), Policy: sc.policy(g), Seed: 1, MaxIters: 200}
+			}
+			init := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+			multi := func(res MultiResult, err error) (Result, error) { return res.Result, err }
+			ctx := context.Background()
+			searches := []struct {
+				name string
+				run  func() (Result, error)
+			}{
+				{"Greedy", func() (Result, error) { return Greedy(ctx, g, cfg()) }},
+				{"GroupMigration", func() (Result, error) { return GroupMigration(ctx, init, cfg()) }},
+				{"Anneal", func() (Result, error) { return Anneal(ctx, init, cfg()) }},
+				{"Random", func() (Result, error) { return Random(ctx, g, cfg()) }},
+				{"ParallelRandom", func() (Result, error) {
+					return multi(ParallelRandom(ctx, g, cfg(), ParallelOptions{Workers: 2, Legs: 3}))
+				}},
+				{"ClusterGreedy", func() (Result, error) { return ClusterGreedy(ctx, g, cfg()) }},
+				{"Exhaustive", func() (Result, error) { return Exhaustive(ctx, g, cfg()) }},
+				{"MultiStart", func() (Result, error) {
+					return multi(MultiStart(ctx, g, cfg(), ParallelOptions{Workers: 2, Legs: 6}))
+				}},
+				{"MultiStartAdaptive", func() (Result, error) {
+					return multi(MultiStart(ctx, g, cfg(), ParallelOptions{Workers: 2, Legs: 6, Adaptive: true, RoundEvals: 64, MaxRounds: 3}))
+				}},
+			}
+			oracle := NewEvaluator(g, sc.cons, sc.w, sc.opt)
+			for _, s := range searches {
+				res, err := s.run()
+				if err != nil {
+					t.Fatalf("%s: %v", s.name, err)
+				}
+				got, err := oracle.Cost(res.Best)
+				if err != nil {
+					t.Fatalf("%s: recost: %v", s.name, err)
+				}
+				if math.Abs(got-res.Cost) > 1e-9 {
+					t.Errorf("%s reported cost %.15g but its Best recosts to %.15g", s.name, res.Cost, got)
+				}
+			}
+		})
 	}
+}
+
+// oracleRandom is the pointer-walking reference for Random: the same
+// candidate enumeration, each candidate built in a Partition and costed
+// by the full estimator.
+func oracleRandom(t *testing.T, g *core.Graph, ev *Evaluator, policy BusPolicy, seed int64, iters int) float64 {
+	t.Helper()
+	table, err := candidateTable(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := core.NewPartition(g)
+	best := math.Inf(1)
+	for i := 0; i < iters; i++ {
+		s := candidateSampler(seed, i)
+		for j, n := range g.Nodes {
+			if err := pt.Assign(n, table[j][s.intn(len(table[j]))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cost := oracleCost(t, ev, pt, policy); cost < best {
+			best = cost
+		}
+	}
+	return best
+}
+
+// TestRandomMatchesOracle: Random costs its candidates on the snapshot,
+// yet must land on the oracle enumeration's best cost — within summation
+// tolerance, with exactly one evaluation per candidate and a Best that
+// recosts to the reported cost.
+func TestRandomMatchesOracle(t *testing.T) {
+	const iters = 400
+	for _, sc := range deltaScenarios(t) {
+		t.Run(sc.name, func(t *testing.T) {
+			g := sc.graph
+			oracle := NewEvaluator(g, sc.cons, sc.w, sc.opt)
+			want := oracleRandom(t, g, oracle, sc.policy(g), 42, iters)
+			cfg := Config{Eval: NewEvaluator(g, sc.cons, sc.w, sc.opt), Policy: sc.policy(g), Seed: 42, MaxIters: iters}
+			got, err := Random(context.Background(), g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(got.Cost-want) > 1e-9 {
+				t.Errorf("Random cost = %.15g, oracle enumeration %.15g", got.Cost, want)
+			}
+			if got.Evals != iters {
+				t.Errorf("Random evals = %d, want %d", got.Evals, iters)
+			}
+			if recost := oracleCost(t, oracle, got.Best, sc.policy(g)); math.Abs(recost-got.Cost) > 1e-9 {
+				t.Errorf("Random reported %.15g but Best recosts to %.15g", got.Cost, recost)
+			}
+		})
+	}
+}
+
+// TestSnapshotSharedAcrossClones pins the fleet-sharing contract: every
+// clone of an evaluator compiles the design exactly once and hands out the
+// same read-only *core.Snapshot, and concurrent incremental evaluation on
+// sibling clones is race-free (this test is the -race CI target).
+func TestSnapshotSharedAcrossClones(t *testing.T) {
 	g := benchGraph(t, 8, 4)
-	check := func(name string, res Result, err error) {
-		t.Helper()
+	ev := NewEvaluator(g, Constraints{Deadline: map[string]float64{"b0": 25}}, DefaultWeights(), estimate.Options{})
+	s0, err := ev.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	clones := make([]*Evaluator, workers)
+	for i := range clones {
+		clones[i] = ev.Clone()
+		si, err := clones[i].Snapshot()
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		fresh := NewEvaluator(g, cons, DefaultWeights(), estimate.Options{})
-		got, err := fresh.Cost(res.Best)
-		if err != nil {
-			t.Fatalf("%s: recost: %v", name, err)
-		}
-		if math.Abs(got-res.Cost) > 1e-9 {
-			t.Errorf("%s reported cost %.15g but its Best recosts to %.15g", name, res.Cost, got)
+		if si != s0 {
+			t.Fatalf("clone %d compiled its own snapshot", i)
 		}
 	}
-	cfg := config(g, cons)
-	res, err := Greedy(context.Background(), g, cfg)
-	check("Greedy", res, err)
-	init := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
-	res, err = GroupMigration(context.Background(), init, config(g, cons))
-	check("GroupMigration", res, err)
-	res, err = Anneal(context.Background(), init, config(g, cons))
-	check("Anneal", res, err)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(ev *Evaluator, seed int64) {
+			defer wg.Done()
+			pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+			d, err := ev.Delta(pt, SingleBus(g.Buses[0]))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for step := 0; step < 300; step++ {
+				n := g.Nodes[rng.Intn(len(g.Nodes))]
+				cands := Allowed(g, n)
+				to := cands[rng.Intn(len(cands))]
+				if _, err := d.MoveCost(n, to); err != nil {
+					t.Errorf("seed %d step %d: %v", seed, step, err)
+					return
+				}
+				if rng.Float64() < 0.3 {
+					if err := d.Apply(n, to); err != nil {
+						t.Errorf("seed %d step %d: %v", seed, step, err)
+						return
+					}
+				}
+			}
+		}(clones[i], int64(i+1))
+	}
+	wg.Wait()
 }
 
 // TestCommTermExcludesPortTraffic is the Comm-asymmetry regression: port

@@ -361,7 +361,7 @@ func ParallelRandom(ctx context.Context, g *core.Graph, cfg Config, opt Parallel
 		plans = append(plans, legPlan{kind: "random", seed: cfg.Seed,
 			run: func(ctx context.Context, c Config) (Result, error) {
 				c.MaxEvals = 0 // the shard bounds are the budget
-				return randomRange(ctx, g, c, lo, hi)
+				return randomShard(ctx, g, c, lo, hi)
 			}})
 	}
 	out, err := runLegs(ctx, cfg, plans, opt.workers())
@@ -434,7 +434,7 @@ func MultiStart(ctx context.Context, g *core.Graph, cfg Config, opt ParallelOpti
 			plans = append(plans, legPlan{kind: "random", seed: cfg.Seed,
 				run: func(ctx context.Context, c Config) (Result, error) {
 					c.MaxEvals = q
-					return randomRange(ctx, g, c, lo, hi)
+					return randomShard(ctx, g, c, lo, hi)
 				}})
 		}
 	}

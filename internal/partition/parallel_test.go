@@ -14,12 +14,15 @@ import (
 // across legs and workers must reproduce the sequential Random result
 // exactly — same best cost, same best partition — for every worker/leg
 // count, because candidates are seeded per index, shards are contiguous,
-// and ties break toward the earlier leg.
+// and ties break toward the earlier leg. Every cost term is active.
 func TestParallelRandomMatchesSequential(t *testing.T) {
 	g := benchGraph(t, 8, 5)
 	g.Procs[0].SizeCon = 900
 	mk := func() Config {
-		cfg := config(g, Constraints{})
+		cfg := config(g, Constraints{
+			Deadline:   map[string]float64{"b0": 25},
+			MaxBusRate: map[string]float64{"bus": 8},
+		})
 		cfg.Seed = 42
 		cfg.MaxIters = 300
 		return cfg

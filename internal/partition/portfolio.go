@@ -433,7 +433,7 @@ func runStrandStep(ctx context.Context, cfg Config, g *core.Graph, table [][]cor
 	switch {
 	case s.kind == "random":
 		cfg.MaxEvals = 0 // the chunk bounds are the budget
-		res, err = snapRandomRange(ctx, g, cfg, s.lo, chunkHi)
+		res, err = randomShard(ctx, g, cfg, s.lo, chunkHi)
 	case s.kind == "greedy" && !s.started:
 		cfg.MaxEvals = quota
 		res, err = greedyRotated(ctx, g, cfg, s.rotate)

@@ -8,7 +8,6 @@ package partition
 
 import (
 	"context"
-	"math"
 	"testing"
 
 	"specsyn/internal/faultinject"
@@ -221,44 +220,33 @@ func TestParallelEmptyShardSemantics(t *testing.T) {
 	g := benchGraph(t, 6, 3)
 	const iters, nLegs = 3, 8 // 8 shards over 3 candidates: 5 empty
 
-	mkCfg := func(indexed bool) Config {
+	mkCfg := func() Config {
 		cfg := config(g, Constraints{})
 		cfg.Seed = 5
 		cfg.MaxIters = iters
-		if indexed {
-			cfg.IdxPolicy = SingleBusIdx(g, g.Buses[0])
-		}
 		return cfg
 	}
-	seq, err := Random(context.Background(), g, mkCfg(false))
+	seq, err := Random(context.Background(), g, mkCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 5} {
-		for _, indexed := range []bool{false, true} {
-			var res MultiResult
-			var err error
-			if indexed {
-				res, err = ParallelSnapRandom(context.Background(), g, mkCfg(true), ParallelOptions{Workers: workers, Legs: nLegs})
-			} else {
-				res, err = ParallelRandom(context.Background(), g, mkCfg(false), ParallelOptions{Workers: workers, Legs: nLegs})
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := res.Report
-			if rep.LegsCompleted != nLegs || rep.LegsPartial != 0 || rep.LegsSkipped != 0 {
-				t.Errorf("workers=%d indexed=%v: empty shards miscounted: %s", workers, indexed, rep)
-			}
-			if rep.Evals != iters {
-				t.Errorf("workers=%d indexed=%v: %d evals, want %d", workers, indexed, rep.Evals, iters)
-			}
-			if math.Abs(res.Cost-seq.Cost) > 1e-9 {
-				t.Errorf("workers=%d indexed=%v: cost %v != sequential %v", workers, indexed, res.Cost, seq.Cost)
-			}
-			if rep.LegsKilled != 0 || rep.LegsRespawned != 0 || rep.Rounds != 0 {
-				t.Errorf("workers=%d indexed=%v: static engine reported adaptive counters: %s", workers, indexed, rep)
-			}
+		res, err := ParallelRandom(context.Background(), g, mkCfg(), ParallelOptions{Workers: workers, Legs: nLegs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := res.Report
+		if rep.LegsCompleted != nLegs || rep.LegsPartial != 0 || rep.LegsSkipped != 0 {
+			t.Errorf("workers=%d: empty shards miscounted: %s", workers, rep)
+		}
+		if rep.Evals != iters {
+			t.Errorf("workers=%d: %d evals, want %d", workers, rep.Evals, iters)
+		}
+		if res.Cost != seq.Cost {
+			t.Errorf("workers=%d: cost %v != sequential %v", workers, res.Cost, seq.Cost)
+		}
+		if rep.LegsKilled != 0 || rep.LegsRespawned != 0 || rep.Rounds != 0 {
+			t.Errorf("workers=%d: static engine reported adaptive counters: %s", workers, rep)
 		}
 	}
 
@@ -266,7 +254,7 @@ func TestParallelEmptyShardSemantics(t *testing.T) {
 	// zero-width. Empty shards finish in round one as completed legs and
 	// are never killed or respawned.
 	for _, workers := range []int{1, 4} {
-		cfg := mkCfg(false)
+		cfg := mkCfg()
 		res, err := MultiStart(context.Background(), g, cfg,
 			ParallelOptions{Workers: workers, Legs: 12, Adaptive: true, RoundEvals: 32, MaxRounds: 3, KillMargin: -1})
 		if err != nil {

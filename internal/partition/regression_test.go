@@ -22,41 +22,18 @@ import (
 // the node's current component, exactly like the end-of-node commit.
 func TestGreedyBudgetNaNFirstCandidate(t *testing.T) {
 	g := benchGraph(t, 6, 3)
-	w := Weights{Size: math.NaN()}
-
-	// The delta mover may spend setup evaluations before the first trial;
-	// measure them on a probe so the budget dies exactly one MoveCost in,
-	// for the full-recompute and the delta mover alike.
-	setupEvals := func(full bool) int {
-		ev := NewEvaluator(g, Constraints{}, w, estimate.Options{})
-		if full {
-			return 0
-		}
-		pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
-		if _, err := ev.Delta(pt, SingleBus(g.Buses[0])); err != nil {
-			t.Fatal(err)
-		}
-		return ev.Evals
+	ev := NewEvaluator(g, Constraints{}, Weights{Size: math.NaN()}, estimate.Options{})
+	// Binding the delta evaluator spends no evaluations, so the budget
+	// dies exactly one MoveCost in.
+	cfg := Config{Eval: ev, Policy: SingleBus(g.Buses[0]), Seed: 1, MaxEvals: 1}
+	res, err := Greedy(context.Background(), g, cfg)
+	if err != nil {
+		t.Fatalf("budget-exhausted greedy with NaN costs failed: %v", err)
 	}
-
-	for _, full := range []bool{true, false} {
-		ev := NewEvaluator(g, Constraints{}, w, estimate.Options{})
-		cfg := Config{
-			Eval:     ev,
-			Policy:   SingleBus(g.Buses[0]),
-			Seed:     1,
-			FullEval: full,
-			MaxEvals: setupEvals(full) + 1,
-		}
-		res, err := Greedy(context.Background(), g, cfg)
-		if err != nil {
-			t.Fatalf("full=%v: budget-exhausted greedy with NaN costs failed: %v", full, err)
-		}
-		if !res.Partial {
-			t.Errorf("full=%v: budget-exhausted run not marked partial", full)
-		}
-		completeMapping(t, res)
+	if !res.Partial {
+		t.Error("budget-exhausted run not marked partial")
 	}
+	completeMapping(t, res)
 }
 
 // TestGroupMigrationAbandonedPassKeepsPrefix: a budget that dies midway

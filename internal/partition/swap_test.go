@@ -1,7 +1,7 @@
 package partition
 
 // Tests for the pair-swap move kind: the differential oracle for
-// SwapCost/ApplySwap/Undo on the delta evaluator, the eval-accounting
+// SwapCost/ApplySwap on the delta evaluator, the eval-accounting
 // contract, and the two searches that use swaps (Anneal's swap proposals
 // and GroupMigration's KL-style swap pass).
 
@@ -30,7 +30,7 @@ func allowedSets(g *core.Graph) map[*core.Node]map[core.Component]bool {
 
 // TestDeltaSwapMatchesOracle is the swap counterpart of the random-moves
 // differential test: over long random sequences of SwapCost trials,
-// ApplySwap commits and Undo reversals — spanning many refresh intervals,
+// ApplySwap commits and swap-backs — spanning many refresh intervals,
 // degenerate same-component pairs included — every incremental swap cost
 // must match a full recompute of the exchanged partition within 1e-9.
 func TestDeltaSwapMatchesOracle(t *testing.T) {
@@ -92,11 +92,11 @@ func TestDeltaSwapMatchesOracle(t *testing.T) {
 						t.Fatalf("step %d: ApplySwap: %v", step, err)
 					}
 				case r < 0.55:
-					if err := d.ApplySwap(a, b); err != nil {
-						t.Fatalf("step %d: ApplySwap: %v", step, err)
-					}
-					if err := d.Undo(); err != nil {
-						t.Fatalf("step %d: Undo: %v", step, err)
+					// A swap is its own inverse: commit it, then undo it.
+					for k := 0; k < 2; k++ {
+						if err := d.ApplySwap(a, b); err != nil {
+							t.Fatalf("step %d: ApplySwap: %v", step, err)
+						}
 					}
 				}
 				if step%97 == 0 {
@@ -123,7 +123,7 @@ func TestDeltaSwapMatchesOracle(t *testing.T) {
 
 // TestDeltaSwapEvalAccounting pins the swap eval/hook contract: SwapCost
 // fires the hook once and counts one evaluation — degenerate swaps
-// included — while ApplySwap and Undo count nothing.
+// included — while ApplySwap counts nothing.
 func TestDeltaSwapEvalAccounting(t *testing.T) {
 	g := benchGraph(t, 6, 3)
 	ev := NewEvaluator(g, Constraints{}, DefaultWeights(), estimate.Options{})
@@ -150,21 +150,19 @@ func TestDeltaSwapEvalAccounting(t *testing.T) {
 	if got := ev.Evals - evalsBefore; got != 5 || hook.n != 5 {
 		t.Fatalf("5 SwapCost calls counted %d evals, %d hook fires; want 5, 5", got, hook.n)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 6; i++ {
 		if err := d.ApplySwap(a, b); err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Undo(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := ev.Evals - evalsBefore; got != 5 || hook.n != 5 {
-		t.Fatalf("ApplySwap/Undo counted evals: %d evals, %d hook fires; want 5, 5", got, hook.n)
+		t.Fatalf("ApplySwap counted evals: %d evals, %d hook fires; want 5, 5", got, hook.n)
 	}
 }
 
-// TestDeltaSwapUndo: ApplySwap then Undo restores the exact mapping and
-// the committed cost, including after a degenerate swap.
+// TestDeltaSwapUndo: a committed swap undone by swapping the pair back
+// restores the exact mapping and the committed cost, including after a
+// degenerate swap.
 func TestDeltaSwapUndo(t *testing.T) {
 	g := benchGraph(t, 6, 3)
 	ev := NewEvaluator(g, Constraints{}, DefaultWeights(), estimate.Options{})
@@ -182,14 +180,11 @@ func TestDeltaSwapUndo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.ApplySwap(a, a); err != nil { // degenerate arms a no-op undo
-		t.Fatal(err)
-	}
-	if err := d.Undo(); err != nil {
+	if err := d.ApplySwap(a, a); err != nil { // degenerate: commits nothing
 		t.Fatal(err)
 	}
 	if pt.String() != before {
-		t.Fatal("degenerate swap + Undo changed the mapping")
+		t.Fatal("degenerate swap changed the mapping")
 	}
 	// b1 (cpu) and v0 (ram) cannot host each other's components — use two
 	// behaviors instead so the exchange is legal.
@@ -209,51 +204,47 @@ func TestDeltaSwapUndo(t *testing.T) {
 		t.Fatalf("swap did not exchange components: a on %s, b on %s",
 			pt.BvComp(a).CompName(), pt.BvComp(b).CompName())
 	}
-	if err := d.Undo(); err != nil {
+	if err := d.ApplySwap(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if pt.String() != before {
-		t.Fatal("Undo did not restore the pre-swap mapping")
+		t.Fatal("swapping back did not restore the pre-swap mapping")
 	}
 	costAfter, err := d.Cost()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(costAfter-costBefore) > 1e-9 {
-		t.Fatalf("Undo cost %v != pre-swap cost %v", costAfter, costBefore)
+		t.Fatalf("cost after swapping back %v != pre-swap cost %v", costAfter, costBefore)
 	}
 }
 
 // TestAnnealSwapMoves: with SwapProb set Anneal proposes pair exchanges;
 // the run must stay valid — complete mapping, reported cost matching a
-// full recompute of the returned best, never worse than the start — on
-// both the delta and the full-recompute mover.
+// full recompute of the returned best, never worse than the start.
 func TestAnnealSwapMoves(t *testing.T) {
 	g := benchGraph(t, 9, 5)
 	g.Procs[0].SizeCon = 700
-	for _, full := range []bool{false, true} {
-		cfg := config(g, Constraints{Deadline: map[string]float64{"b0": 150}})
-		cfg.Seed = 5
-		cfg.MaxIters = 400
-		cfg.SwapProb = 0.4
-		cfg.FullEval = full
-		init := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
-		initCost, err := NewEvaluator(g, Constraints{Deadline: map[string]float64{"b0": 150}}, DefaultWeights(), estimate.Options{}).Cost(init)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Anneal(context.Background(), init, cfg)
-		if err != nil {
-			t.Fatalf("full=%v: %v", full, err)
-		}
-		completeMapping(t, res)
-		if res.Cost > initCost {
-			t.Errorf("full=%v: anneal with swaps worsened the start: %v > %v", full, res.Cost, initCost)
-		}
-		recost := oracleCost(t, cfg.Eval, res.Best, cfg.Policy)
-		if math.Abs(recost-res.Cost) > 1e-9 {
-			t.Errorf("full=%v: reported cost %v != recomputed %v", full, res.Cost, recost)
-		}
+	cfg := config(g, Constraints{Deadline: map[string]float64{"b0": 150}})
+	cfg.Seed = 5
+	cfg.MaxIters = 400
+	cfg.SwapProb = 0.4
+	init := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+	initCost, err := NewEvaluator(g, Constraints{Deadline: map[string]float64{"b0": 150}}, DefaultWeights(), estimate.Options{}).Cost(init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Anneal(context.Background(), init, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completeMapping(t, res)
+	if res.Cost > initCost {
+		t.Errorf("anneal with swaps worsened the start: %v > %v", res.Cost, initCost)
+	}
+	recost := oracleCost(t, cfg.Eval, res.Best, cfg.Policy)
+	if math.Abs(recost-res.Cost) > 1e-9 {
+		t.Errorf("reported cost %v != recomputed %v", res.Cost, recost)
 	}
 }
 

@@ -240,6 +240,30 @@ func TestServerAdaptiveExplore(t *testing.T) {
 	}
 }
 
+// TestServerDeepNesting: a build body nested far past the parser's limit
+// — 1 MB of open parentheses — gets a 422 with the positioned diagnostic
+// instead of overflowing the stack, and the daemon keeps serving.
+func TestServerDeepNesting(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	src := "entity E is end; architecture x of E is begin P: process variable v : integer; begin v := " +
+		strings.Repeat("(", 1<<20) + "1;"
+	body, err := json.Marshal(BuildRequest{VHDL: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/designs/deep/build", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "nesting deeper than") {
+		t.Fatalf("deep build: status %d, body %.300s; want 422 with the nesting diagnostic", resp.StatusCode, msg)
+	}
+	buildDesign(t, ts, "fuzzy", "fuzzy")
+}
+
 // TestServerBadInput checks the input-validation edges: broken VHDL, bad
 // JSON, missing sessions, bad reloads that must not corrupt the session.
 func TestServerBadInput(t *testing.T) {

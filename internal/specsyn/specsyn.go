@@ -234,17 +234,14 @@ func (e *Env) searchConfig(cons partition.Constraints, w partition.Weights, seed
 	// buses the first is the external (inter-component) bus and the second
 	// the internal one, re-derived after every move.
 	policy := partition.SingleBus(e.Graph.Buses[0])
-	idx := partition.SingleBusIdx(e.Graph, e.Graph.Buses[0])
 	if len(e.Graph.Buses) > 1 {
 		policy = partition.InternalExternal(e.Graph.Buses[1], e.Graph.Buses[0])
-		idx = partition.InternalExternalIdx(e.Graph, e.Graph.Buses[1], e.Graph.Buses[0])
 	}
 	return partition.Config{
-		Eval:      ev,
-		Policy:    policy,
-		IdxPolicy: idx,
-		Seed:      seed,
-		MaxIters:  iters,
+		Eval:     ev,
+		Policy:   policy,
+		Seed:     seed,
+		MaxIters: iters,
 	}, nil
 }
 

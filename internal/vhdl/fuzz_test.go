@@ -1,6 +1,7 @@
 package vhdl
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -24,6 +25,7 @@ func FuzzParse(f *testing.F) {
 		"-- comment only\n",
 		"entity \x00 is end;",
 		"entity E is end; architecture x of E is signal s : integer range 5 downto 1; begin end;",
+		nestingHead + "v := " + strings.Repeat("(", 2*maxNesting) + "1;",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -21,8 +21,31 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 type Parser struct {
 	toks   []Token
 	i      int
+	depth  int  // current statement/expression/declaration nesting
+	halted bool // nesting limit hit: the rest of the input is skipped
 	Errors []*ParseError
 }
+
+// maxNesting bounds statement, expression and declaration nesting. Real
+// specifications stay far below it; hostile input that nests deeper gets a
+// positioned diagnostic instead of overflowing the goroutine stack.
+const maxNesting = 1000
+
+// enter opens one nesting level. Past maxNesting it records the error and
+// skips to EOF, so every open construct unwinds at once without further
+// diagnostics; the caller then returns without calling leave.
+func (p *Parser) enter() bool {
+	if p.depth == maxNesting {
+		p.errorf(p.cur().Pos, "nesting deeper than %d levels", maxNesting)
+		p.halted = true
+		p.i = len(p.toks) - 1
+		return false
+	}
+	p.depth++
+	return true
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 var tokPool = sync.Pool{New: func() any { return new([]Token) }}
 
@@ -93,6 +116,9 @@ func (p *Parser) accept(k Kind) bool {
 }
 
 func (p *Parser) errorf(pos Pos, format string, args ...any) {
+	if p.halted {
+		return
+	}
 	p.Errors = append(p.Errors, &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
@@ -260,6 +286,9 @@ func (p *Parser) parseArchitecture() *Architecture {
 
 // parseDecls parses a declarative part, stopping before 'begin' / 'end'.
 func (p *Parser) parseDecls() []Decl {
+	if !p.enter() {
+		return nil
+	}
 	var decls []Decl
 	for {
 		switch p.cur().Kind {
@@ -280,6 +309,7 @@ func (p *Parser) parseDecls() []Decl {
 				decls = append(decls, d)
 			}
 		default:
+			p.leave()
 			return decls
 		}
 	}
@@ -445,6 +475,9 @@ func (p *Parser) atStmtListEnd() bool {
 }
 
 func (p *Parser) parseStmts() []Stmt {
+	if !p.enter() {
+		return nil
+	}
 	var stmts []Stmt
 	for !p.atStmtListEnd() {
 		before := p.i
@@ -455,6 +488,7 @@ func (p *Parser) parseStmts() []Stmt {
 			p.sync()
 		}
 	}
+	p.leave()
 	return stmts
 }
 
@@ -707,6 +741,9 @@ func (p *Parser) parseWait() Stmt {
 //	factor   := [not|abs] primary
 //	primary  := literal | name | name(args) | name'attr | (expr) | aggregate
 func (p *Parser) parseExpr() Expr {
+	if !p.enter() {
+		return &IntExpr{Pos: p.cur().Pos}
+	}
 	e := p.parseRelation()
 	for {
 		op := p.cur().Kind
@@ -716,6 +753,7 @@ func (p *Parser) parseExpr() Expr {
 			r := p.parseRelation()
 			e = &BinExpr{Op: op, L: e, R: r, Pos: pos}
 		default:
+			p.leave()
 			return e
 		}
 	}
@@ -774,8 +812,13 @@ func (p *Parser) parseTerm() Expr {
 func (p *Parser) parseFactor() Expr {
 	switch p.cur().Kind {
 	case KwNOT, KwABS:
+		if !p.enter() {
+			return &IntExpr{Pos: p.cur().Pos}
+		}
 		op := p.next()
-		return &UnaryExpr{Op: op.Kind, X: p.parseFactor(), Pos: op.Pos}
+		x := p.parseFactor()
+		p.leave()
+		return &UnaryExpr{Op: op.Kind, X: x, Pos: op.Pos}
 	}
 	return p.parsePrimary()
 }
