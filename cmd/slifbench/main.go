@@ -306,7 +306,7 @@ type portfolioRecord struct {
 	Example       string                 `json:"example"`
 	Nodes         int                    `json:"nodes"`
 	GreedyCost    float64                `json:"greedy_cost"`
-	AdaptiveCost  float64                `json:"adaptive_cost"`
+	PortfolioCost float64                `json:"portfolio_cost"`
 	Rounds        int                    `json:"rounds"`
 	LegsKilled    int                    `json:"legs_killed"`
 	LegsRespawned int                    `json:"legs_respawned"`
@@ -376,7 +376,7 @@ func runPortfolio(dir string, workers int) []portfolioRecord {
 	fmt.Printf("Adaptive portfolio sweep (best-cost-vs-evals anytime curves), %d workers\n", workers)
 	fmt.Println()
 	fmt.Printf("%-10s %6s %12s %13s %7s %7s %9s %7s %9s\n",
-		"", "nodes", "greedy cost", "adaptive", "rounds", "killed", "respawned", "evals", "ms")
+		"", "nodes", "greedy cost", "portfolio", "rounds", "killed", "respawned", "evals", "ms")
 	var records []portfolioRecord
 	for _, sub := range portfolioSubjects(dir) {
 		name, g := sub.name, sub.g
@@ -391,7 +391,7 @@ func runPortfolio(dir string, workers int) []portfolioRecord {
 		}
 		start := time.Now()
 		res, err := partition.MultiStart(context.Background(), g, mkCfg(), partition.ParallelOptions{
-			Workers: workers, Legs: 6, Adaptive: true, Share: true,
+			Workers: workers, Legs: 6, Share: true,
 			RoundEvals: 256, MaxRounds: 5,
 		})
 		if err != nil {
@@ -400,7 +400,7 @@ func runPortfolio(dir string, workers int) []portfolioRecord {
 		dur := time.Since(start)
 		rep := res.Report
 		if res.Cost > greedy.Cost+1e-9 {
-			fatal(fmt.Errorf("%s: adaptive cost %v worse than greedy %v", name, res.Cost, greedy.Cost))
+			fatal(fmt.Errorf("%s: portfolio cost %v worse than greedy %v", name, res.Cost, greedy.Cost))
 		}
 		for i := 1; i < len(rep.Curve); i++ {
 			if rep.Curve[i].BestCost > rep.Curve[i-1].BestCost {
@@ -410,7 +410,7 @@ func runPortfolio(dir string, workers int) []portfolioRecord {
 		}
 		records = append(records, portfolioRecord{
 			Example: name, Nodes: len(g.Nodes),
-			GreedyCost: greedy.Cost, AdaptiveCost: res.Cost,
+			GreedyCost: greedy.Cost, PortfolioCost: res.Cost,
 			Rounds: rep.Rounds, LegsKilled: rep.LegsKilled, LegsRespawned: rep.LegsRespawned,
 			Evals: rep.Evals, Workers: workers, Curve: rep.Curve,
 		})

@@ -7,7 +7,7 @@
 //
 //	specsyn build     -vhd f.vhd [-prob f.prob] [-lib f.lib] [-ov f.ov] [-o out.slif] [-dot out.dot]
 //	specsyn estimate  -vhd f.vhd [...] [-split]         estimate a partition
-//	specsyn partition -vhd f.vhd [...] -algo gm [-deadline proc=us] [-seed n] [-iters n] [-timeout d] [-max-evals n] [-adaptive] [-share]
+//	specsyn partition -vhd f.vhd [...] -algo gm [-deadline proc=us] [-seed n] [-iters n] [-timeout d] [-max-evals n] [-share] [-round-evals n]
 //	specsyn xform     -vhd f.vhd [...] -inline-all | -merge a,b
 //	specsyn simulate  -vhd f.vhd [-steps n] [-seed n] [-prob-out f.prob]
 //	specsyn shell     -vhd f.vhd [...]                  interactive session
@@ -205,11 +205,10 @@ func runPartition(args []string) {
 	legs := fs.Int("legs", 0, "independent search legs for multi/random (0 = workers)")
 	timeout := fs.Duration("timeout", 0, "wall-clock bound; on expiry the best partition found so far is kept (0 = none)")
 	maxEvals := fs.Int("max-evals", 0, "cost-evaluation budget (0 = unlimited)")
-	adaptive := fs.Bool("adaptive", false, "round-based adaptive scheduling for multi (kill and respawn lagging legs)")
-	share := fs.Bool("share", false, "share the incumbent across legs (implies -adaptive; anneal restarts reheat from it)")
-	roundEvals := fs.Int("round-evals", 0, "evaluations per leg per adaptive round (0 = default)")
-	maxRounds := fs.Int("max-rounds", 0, "adaptive round cap (0 = default)")
-	killMargin := fs.Float64("kill-margin", 0, "relative lag that kills a leg after a round (0 = default, negative = never)")
+	share := fs.Bool("share", false, "share the incumbent across legs; anneal restarts reheat from it (a round option)")
+	roundEvals := fs.Int("round-evals", 0, "evaluations per leg per round (a round option; 0 = default)")
+	maxRounds := fs.Int("max-rounds", 0, "round cap (a round option; 0 = default)")
+	killMargin := fs.Float64("kill-margin", 0, "relative lag that kills a leg after a round (a round option; 0 = default, negative = never)")
 	swapProb := fs.Float64("swap-prob", 0, "pair-swap proposal probability for anneal legs (0 = moves only)")
 	var deadlines deadlineFlag
 	fs.Var(&deadlines, "deadline", "process deadline as name=microseconds (repeatable)")
@@ -233,16 +232,11 @@ func runPartition(args []string) {
 	var res partition.Result
 	// "multi" and "portfolio" are the parallel engines; -workers/-legs also
 	// turn "random" into its sharded parallel form (same result, spread
-	// over a worker pool). -adaptive/-share upgrade "multi" to "portfolio".
-	if *adaptive || *share {
-		if *algo == "multi" || *algo == "" {
-			*algo = "portfolio"
-		}
-	}
+	// over a worker pool). Any round option runs "multi" in rounds, with
+	// defaults for the round options left zero.
 	if *algo == "multi" || *algo == "portfolio" || (*algo == "random" && (*workers != 0 || *legs != 0)) {
 		opt := partition.ParallelOptions{
-			Workers: *workers, Legs: *legs,
-			Adaptive: *adaptive, Share: *share,
+			Workers: *workers, Legs: *legs, Share: *share,
 			RoundEvals: *roundEvals, MaxRounds: *maxRounds, KillMargin: *killMargin,
 			SwapProb: *swapProb,
 		}
@@ -251,7 +245,7 @@ func runPartition(args []string) {
 			fatal(err)
 		}
 		fmt.Printf("%s: %d legs, best from leg %d\n", *algo, len(multi.Legs), multi.BestLeg)
-		if rep := multi.Report; rep.Rounds > 0 {
+		if rep := multi.Report; rep.Rounds > 1 {
 			fmt.Printf("adaptive: %d rounds, %d legs killed, %d respawned\n",
 				rep.Rounds, rep.LegsKilled, rep.LegsRespawned)
 		}

@@ -143,11 +143,16 @@ func candidateTable(g *core.Graph) ([][]core.Component, error) {
 // cancellation or budget exhaustion it returns the best candidate seen so
 // far with Partial set.
 func Random(ctx context.Context, g *core.Graph, cfg Config) (Result, error) {
-	iters := cfg.MaxIters
-	if iters <= 0 {
-		iters = 1000
+	return randomShard(ctx, g, cfg, 0, cfg.randomIters())
+}
+
+// randomIters is the length of Random's candidate enumeration: MaxIters,
+// default 1000.
+func (c Config) randomIters() int {
+	if c.MaxIters <= 0 {
+		return 1000
 	}
-	return randomShard(ctx, g, cfg, 0, iters)
+	return c.MaxIters
 }
 
 // randomShard evaluates the candidates with indices [lo, hi) of the

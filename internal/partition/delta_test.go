@@ -290,8 +290,8 @@ func TestSearchResultsRecostCleanly(t *testing.T) {
 				{"MultiStart", func() (Result, error) {
 					return multi(MultiStart(ctx, g, cfg(), ParallelOptions{Workers: 2, Legs: 6}))
 				}},
-				{"MultiStartAdaptive", func() (Result, error) {
-					return multi(MultiStart(ctx, g, cfg(), ParallelOptions{Workers: 2, Legs: 6, Adaptive: true, RoundEvals: 64, MaxRounds: 3}))
+				{"MultiStartRounds", func() (Result, error) {
+					return multi(MultiStart(ctx, g, cfg(), ParallelOptions{Workers: 2, Legs: 6, RoundEvals: 64, MaxRounds: 3}))
 				}},
 			}
 			oracle := NewEvaluator(g, sc.cons, sc.w, sc.opt)

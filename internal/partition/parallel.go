@@ -1,41 +1,40 @@
 package partition
 
-// This file is the parallel multi-start search engine: the §5 "explore
+// This file is the API of the parallel multi-start search: the §5 "explore
 // thousands of possible designs" loop run as N independent legs on a
 // worker pool. A leg is one self-contained search start — a shard of the
 // random candidate enumeration, a simulated-annealing restart with its own
-// derived seed, or a greedy construction from a rotated node order. Every
-// worker owns an Evaluator clone (the evaluator's pooled estimator is not
-// goroutine-safe), leg evaluation counts are aggregated atomically, and
-// the merge is deterministic: the same seed and leg plan produce the same
-// best cost for ANY worker count — ties between legs break toward the
-// lower leg index, and random shards are contiguous index ranges, so the
-// winner is exactly the candidate a sequential scan would have kept.
+// derived seed, or a greedy construction from a rotated node order.
+// MultiStart and ParallelRandom only build the leg plan; one engine runs
+// every plan (runStrands, portfolio.go). Every worker owns an Evaluator
+// clone (the evaluator's pooled estimator is not goroutine-safe), and the
+// merge is deterministic: the same seed and leg plan produce the same best
+// cost for ANY worker count — ties between legs break toward the lower leg
+// index, and random shards are contiguous index ranges, so the winner is
+// exactly the candidate a sequential scan would have kept.
 //
 // The engine is anytime and fault-isolated. Cancelling the context stops
 // in-flight legs at their next cooperative check and skips legs that have
 // not started; the merge then runs over whatever the surviving legs
 // produced, and the SearchReport says exactly how much of the plan ran. A
 // leg that panics — a bug, or an injected fault — is captured with its
-// stack and derived seed, recorded in the report, and the remaining legs
-// keep running on a fresh evaluator clone; the deterministic
-// lowest-leg-index merge is preserved over the survivors.
+// stack and seed, recorded in the report, and the remaining legs keep
+// running on a fresh evaluator clone.
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
 
 	"specsyn/internal/core"
 )
 
-// ParallelOptions sizes the worker pool and the leg plan, and opts in to
-// the adaptive portfolio orchestrator (see portfolio.go). All adaptive
-// knobs default to off/zero, which keeps MultiStart bit-identical to the
-// static engine.
+// ParallelOptions sizes the worker pool and the leg plan, and sets the
+// round schedule of the multi-leg engine (see portfolio.go). With every
+// round option zero the engine runs one round in which each leg runs to
+// completion under its share of Config.MaxEvals. Setting any round option
+// (Share, RoundEvals, MaxRounds or KillMargin) turns on round-based
+// scheduling; the round options left zero then take their defaults.
 type ParallelOptions struct {
 	// Workers is the number of concurrent goroutines; 0 means GOMAXPROCS.
 	// The worker count affects only scheduling, never the result.
@@ -43,31 +42,21 @@ type ParallelOptions struct {
 	// Legs is the number of independent search starts; 0 means Workers.
 	Legs int
 
-	// Adaptive turns MultiStart into the round-based portfolio
-	// orchestrator: legs run in eval-budget rounds against a lock-free
-	// incumbent board, laggards are killed and respawned with perturbed
-	// derived seeds, and the report carries the anytime curve. The result
-	// is still deterministic for a fixed seed and leg count at any worker
-	// count — all cross-leg decisions happen at round barriers in leg
-	// order. Off by default: the static engine runs unchanged.
-	Adaptive bool
-	// Share lets adaptive improvement rounds reheat from the shared
-	// incumbent instead of each leg's own best (implies Adaptive). With
-	// sharing on, a run is reproducible at a fixed seed and leg count.
+	// Share lets improvement rounds reheat from the shared incumbent
+	// instead of each leg's own best. With sharing on, a run is still
+	// reproducible at a fixed seed and leg count.
 	Share bool
-	// RoundEvals is the per-leg evaluation budget of one adaptive round;
-	// 0 means 256.
+	// RoundEvals is the per-leg evaluation budget of one round; 0 means
+	// 256 in round mode.
 	RoundEvals int
-	// MaxRounds bounds the adaptive rounds; 0 means 8.
+	// MaxRounds bounds the rounds; 0 means 8 in round mode.
 	MaxRounds int
 	// KillMargin is the relative cost lag over the incumbent that kills a
-	// leg at a round barrier; 0 means 0.25, negative disables killing.
+	// leg at a round barrier; 0 means 0.25 in round mode, negative
+	// disables killing.
 	KillMargin float64
-	// MaxRespawns bounds the total respawns across the run; 0 means one
-	// per leg, negative disables respawning.
-	MaxRespawns int
-	// SwapProb is copied into Config.SwapProb for the portfolio's anneal
-	// legs, enabling pair-swap proposals (see Config.SwapProb).
+	// SwapProb is copied into Config.SwapProb for every anneal leg,
+	// enabling pair-swap proposals (see Config.SwapProb).
 	SwapProb float64
 }
 
@@ -128,14 +117,15 @@ type SearchReport struct {
 	Panics []PanicRecord // contained panics, ordered by leg index
 	Errors []LegError    // leg errors, ordered by leg index
 
-	// Adaptive-orchestrator accounting; all zero for the static engine.
+	// Round accounting. A run with every round option zero reports one
+	// round, one curve point and no kills or respawns.
 	Rounds        int          // round barriers executed
 	LegsKilled    int          // legs killed for lagging the incumbent
 	LegsRespawned int          // legs respawned (after kills or contained faults)
 	Curve         []CurvePoint // incumbent trajectory, one point per round
 }
 
-// CurvePoint is one sample of an adaptive run's anytime curve: the
+// CurvePoint is one sample of a run's anytime curve: the
 // incumbent cost at a round barrier. Evals is deterministic; ElapsedMs is
 // wall clock and varies run to run.
 type CurvePoint struct {
@@ -182,137 +172,10 @@ type MultiResult struct {
 	Report  SearchReport // structured account of the run
 }
 
-// legPlan is one scheduled leg: its search closure plus the metadata the
-// report needs when the leg fails.
-type legPlan struct {
-	kind string // "greedy", "anneal" or "random"
-	seed int64  // derived seed (or run seed for shards) for reproduction
-	run  func(ctx context.Context, cfg Config) (Result, error)
-}
-
 // legSeed derives a per-leg seed from the run seed; leg paths are given
 // disjoint salt ranges so no two legs share an RNG stream.
 func legSeed(seed int64, salt int) int64 {
 	return int64(mix64(uint64(seed) ^ (0x9E3779B97F4A7C15 * uint64(salt+1))))
-}
-
-// runLegs executes the legs on a pool of workers and merges their results.
-// cfg.Eval is cloned once per worker; the prototype evaluator is only
-// read, then credited with the aggregated evaluation count at the end.
-// Panicking legs are contained: the panic is recorded (with stack and
-// seed) and the worker continues with a fresh evaluator clone, since a
-// panic may have left the pooled estimator mid-rebind. An error return
-// happens only when no leg produced a partition at all.
-func runLegs(ctx context.Context, cfg Config, plans []legPlan, workers int) (MultiResult, error) {
-	if cfg.Eval == nil {
-		return MultiResult{}, fmt.Errorf("partition: parallel search needs Config.Eval")
-	}
-	if len(plans) == 0 {
-		return MultiResult{}, fmt.Errorf("partition: parallel search needs at least one leg")
-	}
-	if workers > len(plans) {
-		workers = len(plans)
-	}
-
-	results := make([]Result, len(plans))
-	errs := make([]error, len(plans))
-	panics := make([]*PanicRecord, len(plans))
-	skipped := make([]bool, len(plans))
-	hookProto := cfg.Eval.Hook
-	var evals atomic.Int64
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wcfg := cfg
-			wcfg.Eval = cfg.Eval.Clone()
-			for i := range jobs {
-				if cancelled(ctx) {
-					skipped[i] = true
-					continue
-				}
-				if hookProto != nil {
-					wcfg.Eval.Hook = hookProto.ForLeg(i, plans[i].seed)
-				}
-				before := wcfg.Eval.Evals
-				res, err := runOneLeg(ctx, wcfg, i, plans[i], &panics[i])
-				results[i], errs[i] = res, err
-				evals.Add(int64(wcfg.Eval.Evals - before))
-				if panics[i] != nil {
-					// The panic may have interrupted the pooled estimator
-					// mid-rebind; discard the clone rather than trust it.
-					e := wcfg.Eval.Evals
-					wcfg.Eval = cfg.Eval.Clone()
-					wcfg.Eval.Evals = e
-				}
-			}
-		}()
-	}
-	for i := range plans {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	// Merge deterministically over the surviving legs: lowest cost, ties
-	// to the lower leg index. Failed and skipped legs contribute nothing.
-	rep := SearchReport{LegsPlanned: len(plans), Evals: int(evals.Load())}
-	best := -1
-	for i, r := range results {
-		switch {
-		case skipped[i]:
-			rep.LegsSkipped++
-			continue
-		case panics[i] != nil:
-			rep.Panics = append(rep.Panics, *panics[i])
-			continue
-		case errs[i] != nil:
-			rep.Errors = append(rep.Errors, LegError{Leg: i, Kind: plans[i].kind, Err: errs[i]})
-			continue
-		case r.Partial:
-			rep.LegsPartial++
-		default:
-			rep.LegsCompleted++
-		}
-		if r.Best == nil {
-			continue // empty leg (e.g. a zero-width random shard)
-		}
-		if best < 0 || r.Cost < results[best].Cost {
-			best = i
-		}
-	}
-	rep.Partial = rep.LegsPartial > 0 || rep.LegsSkipped > 0 || cancelled(ctx)
-	if best < 0 {
-		if len(rep.Errors) > 0 {
-			return MultiResult{Report: rep}, fmt.Errorf("partition: no leg survived; leg %d (%s): %w",
-				rep.Errors[0].Leg, rep.Errors[0].Kind, rep.Errors[0].Err)
-		}
-		if len(rep.Panics) > 0 {
-			return MultiResult{Report: rep}, fmt.Errorf("partition: no leg survived; %s", rep.Panics[0])
-		}
-		return MultiResult{Report: rep}, fmt.Errorf("partition: no leg produced a partition")
-	}
-	cfg.Eval.Evals += rep.Evals
-	out := MultiResult{Result: results[best], BestLeg: best, Legs: results, Report: rep}
-	out.Result.Evals = rep.Evals
-	out.Result.Partial = rep.Partial
-	return out, nil
-}
-
-// runOneLeg runs a single leg with panic containment: a panic anywhere in
-// the leg (evaluator, estimator, injected fault) is recovered, recorded
-// with the leg's metadata and stack, and turned into an empty result so
-// the merge simply passes over it.
-func runOneLeg(ctx context.Context, cfg Config, leg int, p legPlan, rec **PanicRecord) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			*rec = &PanicRecord{Leg: leg, Kind: p.kind, Seed: p.seed, Value: r, Stack: string(debug.Stack())}
-			res, err = Result{}, nil
-		}
-	}()
-	return p.run(ctx, cfg)
 }
 
 // splitBudget deals cfg.MaxEvals out to nLegs legs — evenly, remainder to
@@ -344,27 +207,18 @@ func splitBudget(maxEvals, nLegs int) []int {
 // walks sequentially. Best cost and best partition are therefore identical
 // to Random's for every worker and leg count. A MaxEvals budget clamps
 // the enumeration to its first MaxEvals candidates — again exactly the
-// prefix a budgeted sequential Random would evaluate.
+// prefix a budgeted sequential Random would evaluate. Only Workers and
+// Legs are read from opt: the shards always run as one round, so the
+// round options cannot split, stop or kill them.
 func ParallelRandom(ctx context.Context, g *core.Graph, cfg Config, opt ParallelOptions) (MultiResult, error) {
-	iters := cfg.MaxIters
-	if iters <= 0 {
-		iters = 1000
+	iters := cfg.randomIters()
+	clamped := cfg.MaxEvals > 0 && cfg.MaxEvals < iters
+	if clamped {
+		iters = cfg.MaxEvals
 	}
-	clamped := false
-	if cfg.MaxEvals > 0 && cfg.MaxEvals < iters {
-		iters, clamped = cfg.MaxEvals, true
-	}
-	nLegs := opt.legs()
-	plans := make([]legPlan, 0, nLegs)
-	for k := 0; k < nLegs; k++ {
-		lo, hi := k*iters/nLegs, (k+1)*iters/nLegs
-		plans = append(plans, legPlan{kind: "random", seed: cfg.Seed,
-			run: func(ctx context.Context, c Config) (Result, error) {
-				c.MaxEvals = 0 // the shard bounds are the budget
-				return randomShard(ctx, g, c, lo, hi)
-			}})
-	}
-	out, err := runLegs(ctx, cfg, plans, opt.workers())
+	cfg.MaxEvals = 0 // the shard bounds are the budget
+	plan := ParallelOptions{Workers: opt.Workers}
+	out, err := runStrands(ctx, g, cfg, plan, nil, randomStrands(cfg.Seed, iters, opt.legs()))
 	if err == nil && clamped {
 		out.Result.Partial = true
 		out.Report.Partial = true
@@ -378,67 +232,43 @@ func ParallelRandom(ctx context.Context, g *core.Graph, cfg Config, opt Parallel
 // always the canonical greedy construction, so a 1-leg MultiStart equals
 // Greedy exactly. A MaxEvals budget is dealt out across the legs evenly
 // (remainder to the lower indices), keeping budgeted runs deterministic.
-//
-// With opt.Adaptive (or opt.Share) set the same portfolio runs under the
-// round-based adaptive orchestrator instead — see adaptiveMultiStart.
+// The round options in opt turn on round-based scheduling (portfolio.go).
 func MultiStart(ctx context.Context, g *core.Graph, cfg Config, opt ParallelOptions) (MultiResult, error) {
-	if opt.Adaptive || opt.Share {
-		return adaptiveMultiStart(ctx, g, cfg, opt)
-	}
-	nLegs := opt.legs()
-	// Portfolio split: greedy gets the first share (rounded up), then
-	// anneal restarts, then random shards.
-	nGreedy := (nLegs + 2) / 3
-	nAnneal := (nLegs + 1) / 3
-	nRandom := nLegs - nGreedy - nAnneal
-
 	table, err := candidateTable(g)
 	if err != nil {
 		return MultiResult{}, err
 	}
-
-	quota := splitBudget(cfg.MaxEvals, nLegs)
-	plans := make([]legPlan, 0, nLegs)
+	nLegs := opt.legs()
+	// Portfolio split: greedy gets the first share (rounded up), then
+	// anneal restarts, then random shards. A strand's first step runs
+	// with its seed; the later ones derive theirs from its lineage, whose
+	// salt ranges are disjoint per kind.
+	nGreedy := (nLegs + 2) / 3
+	nAnneal := (nLegs + 1) / 3
+	strands := make([]*strand, 0, nLegs)
 	for r := 0; r < nGreedy; r++ {
-		rotate := r
-		q := quota[len(plans)]
-		plans = append(plans, legPlan{kind: "greedy", seed: cfg.Seed,
-			run: func(ctx context.Context, c Config) (Result, error) {
-				c.MaxEvals = q
-				return greedyRotated(ctx, g, c, rotate)
-			}})
+		strands = append(strands, &strand{kind: "greedy", rotate: r, seed: cfg.Seed,
+			lineage: legSeed(cfg.Seed, 1<<20+r)})
 	}
 	for a := 0; a < nAnneal; a++ {
-		initSeed := legSeed(cfg.Seed, a)
-		runSeed := legSeed(cfg.Seed, 1<<16+a)
-		q := quota[len(plans)]
-		plans = append(plans, legPlan{kind: "anneal", seed: runSeed,
-			run: func(ctx context.Context, c Config) (Result, error) {
-				init, err := randomStart(g, table, initSeed)
-				if err != nil {
-					return Result{}, err
-				}
-				c.Seed = runSeed
-				c.MaxEvals = q
-				return Anneal(ctx, init, c)
-			}})
+		run := legSeed(cfg.Seed, 1<<16+a)
+		strands = append(strands, &strand{kind: "anneal", seed: run, lineage: run,
+			initSeed: legSeed(cfg.Seed, a), fresh: true})
 	}
-	if nRandom > 0 {
-		iters := cfg.MaxIters
-		if iters <= 0 {
-			iters = 1000
-		}
-		for k := 0; k < nRandom; k++ {
-			lo, hi := k*iters/nRandom, (k+1)*iters/nRandom
-			q := quota[len(plans)]
-			plans = append(plans, legPlan{kind: "random", seed: cfg.Seed,
-				run: func(ctx context.Context, c Config) (Result, error) {
-					c.MaxEvals = q
-					return randomShard(ctx, g, c, lo, hi)
-				}})
-		}
+	strands = append(strands, randomStrands(cfg.Seed, cfg.randomIters(), nLegs-nGreedy-nAnneal)...)
+	return runStrands(ctx, g, cfg, opt, table, strands)
+}
+
+// randomStrands deals the candidate indices [0, iters) out as n
+// contiguous shards. A random step draws no seed of its own — candidates
+// are seeded by index from the run seed — so the run seed is both the
+// shard's seed and its lineage.
+func randomStrands(seed int64, iters, n int) []*strand {
+	out := make([]*strand, n)
+	for k := range out {
+		out[k] = &strand{kind: "random", seed: seed, lineage: seed, lo: k * iters / n, hi: (k + 1) * iters / n}
 	}
-	return runLegs(ctx, cfg, plans, opt.workers())
+	return out
 }
 
 // randomStart builds one random legal partition from a seed — the starting

@@ -2,12 +2,14 @@ package partition
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"specsyn/internal/core"
 	"specsyn/internal/estimate"
+	"specsyn/internal/faultinject"
 )
 
 // TestParallelRandomMatchesSequential: sharding the candidate enumeration
@@ -37,6 +39,8 @@ func TestParallelRandomMatchesSequential(t *testing.T) {
 		{Workers: 4, Legs: 4},
 		{Workers: 4, Legs: 7},
 		{Workers: 3},
+		// Round options never split, stop or kill the shards.
+		{Workers: 2, Legs: 5, RoundEvals: 16, MaxRounds: 2, KillMargin: 0.01, Share: true},
 	} {
 		cfg := mk()
 		par, err := ParallelRandom(context.Background(), g, cfg, opt)
@@ -49,8 +53,119 @@ func TestParallelRandomMatchesSequential(t *testing.T) {
 		if par.Best.String() != seq.Best.String() {
 			t.Errorf("%+v: parallel best partition differs from sequential", opt)
 		}
-		if par.Evals != 300 {
-			t.Errorf("%+v: evals = %d, want 300", opt, par.Evals)
+		if par.Evals != 300 || par.Report.Rounds != 1 {
+			t.Errorf("%+v: evals = %d, rounds = %d; want 300, 1", opt, par.Evals, par.Report.Rounds)
+		}
+	}
+}
+
+// TestMultiStartLegsMatchDirectCalls: a one-round MultiStart runs each
+// leg exactly as a direct single-threaded call of its algorithm under the
+// leg's quota — greedyRotated, Anneal from a seeded random start, or a
+// random shard — and merges them by lowest cost, ties to the lower leg
+// index. The pair-swap probability reaches every anneal leg.
+func TestMultiStartLegsMatchDirectCalls(t *testing.T) {
+	ctx := context.Background()
+	g := benchGraph(t, 8, 5)
+	g.Procs[0].SizeCon = 900
+	table, err := candidateTable(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 42
+	mk := func(maxEvals, iters int) Config {
+		cfg := config(g, Constraints{Deadline: map[string]float64{"b0": 25}})
+		cfg.Seed, cfg.MaxEvals, cfg.MaxIters = seed, maxEvals, iters
+		return cfg
+	}
+	// direct runs leg of an nLegs plan on its own; it also returns the
+	// leg's kind and the seed a fault in it must be reported with.
+	direct := func(leg, nLegs int, cfg Config) (Result, string, int64) {
+		nGreedy, nAnneal := (nLegs+2)/3, (nLegs+1)/3
+		nRandom := nLegs - nGreedy - nAnneal
+		cfg.MaxEvals = splitBudget(cfg.MaxEvals, nLegs)[leg]
+		switch {
+		case leg < nGreedy:
+			res, err := greedyRotated(ctx, g, cfg, leg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, "greedy", seed
+		case leg < nGreedy+nAnneal:
+			a := leg - nGreedy
+			init, err := randomStart(g, table, legSeed(seed, a))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Seed = legSeed(seed, 1<<16+a)
+			res, err := Anneal(ctx, init, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, "anneal", cfg.Seed
+		}
+		k, iters := leg-nGreedy-nAnneal, cfg.randomIters()
+		res, err := randomShard(ctx, g, cfg, k*iters/nRandom, (k+1)*iters/nRandom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, "random", seed
+	}
+	str := func(r Result) string {
+		if r.Best == nil {
+			return "<nil>"
+		}
+		return r.Best.String()
+	}
+
+	for _, swap := range []float64{0, 0.3} {
+		for _, nLegs := range []int{1, 2, 3, 4, 6, 7, 12} {
+			for _, maxEvals := range []int{0, 7, 60, 500, 5000} {
+				for _, iters := range []int{0, 3, 200} {
+					for _, workers := range []int{1, 3} {
+						label := fmt.Sprintf("swap=%v legs=%d maxEvals=%d iters=%d workers=%d", swap, nLegs, maxEvals, iters, workers)
+						res, err := MultiStart(ctx, g, mk(maxEvals, iters), ParallelOptions{Workers: workers, Legs: nLegs, SwapProb: swap})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						best, sum := -1, 0
+						for i, leg := range res.Legs {
+							cfg := mk(maxEvals, iters)
+							cfg.SwapProb = swap
+							want, _, _ := direct(i, nLegs, cfg)
+							if leg.Cost != want.Cost || str(leg) != str(want) || leg.Evals != want.Evals || leg.Partial != want.Partial {
+								t.Fatalf("%s: leg %d = (%v, %d evals, partial %v), direct call (%v, %d, %v)",
+									label, i, leg.Cost, leg.Evals, leg.Partial, want.Cost, want.Evals, want.Partial)
+							}
+							if want.Best != nil && (best < 0 || want.Cost < res.Legs[best].Cost) {
+								best = i
+							}
+							sum += want.Evals
+						}
+						if res.BestLeg != best || res.Cost != res.Legs[best].Cost || res.Evals != sum || res.Report.Rounds != 1 {
+							t.Fatalf("%s: merged leg %d cost %v evals %d rounds %d; want leg %d, %d evals, 1 round",
+								label, res.BestLeg, res.Cost, res.Evals, res.Report.Rounds, best, sum)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// A fault is reported with the seed that reproduces its leg: the run
+	// seed for greedy and random legs, the run seed of an anneal leg.
+	const nLegs = 7
+	cfg := mk(0, 50)
+	cfg.Eval.Hook = &faultinject.Injector{PanicProb: 1}
+	res, _ := MultiStart(ctx, g, cfg, ParallelOptions{Workers: 3, Legs: nLegs})
+	if len(res.Report.Panics) != nLegs {
+		t.Fatalf("%d panics, want %d", len(res.Report.Panics), nLegs)
+	}
+	for i, p := range res.Report.Panics {
+		_, kind, wantSeed := direct(i, nLegs, mk(0, 50))
+		ip, _ := p.Value.(*faultinject.Panic)
+		if p.Leg != i || p.Kind != kind || p.Seed != wantSeed || ip == nil || ip.Seed != wantSeed {
+			t.Errorf("panic %d: leg %d %s seed %d, want leg %d %s seed %d", i, p.Leg, p.Kind, p.Seed, i, kind, wantSeed)
 		}
 	}
 }

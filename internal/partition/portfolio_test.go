@@ -3,8 +3,8 @@ package partition
 // Tests for the adaptive portfolio orchestrator: barrier determinism at
 // any worker count (sharing off and on), the never-worse-than-Greedy
 // guarantee, monotone anytime curves, kill/respawn accounting, fault
-// containment in respawned legs, budget discipline, and the empty-shard
-// report semantics the static engine also honors.
+// containment in respawned legs, budget discipline, the empty-shard
+// report semantics, and which options turn rounds on.
 
 import (
 	"context"
@@ -13,7 +13,7 @@ import (
 	"specsyn/internal/faultinject"
 )
 
-// adaptiveRun is one standard adaptive invocation for the determinism
+// adaptiveRun is one standard round-mode invocation for the determinism
 // tests; kills are likely with the tight margin.
 func adaptiveRun(t *testing.T, workers int, opt ParallelOptions) MultiResult {
 	t.Helper()
@@ -26,7 +26,6 @@ func adaptiveRun(t *testing.T, workers int, opt ParallelOptions) MultiResult {
 	if opt.Legs == 0 {
 		opt.Legs = 6
 	}
-	opt.Adaptive = true
 	if opt.RoundEvals == 0 {
 		opt.RoundEvals = 64
 	}
@@ -99,7 +98,7 @@ func TestAdaptiveNotWorseThanGreedy(t *testing.T) {
 		cfg := config(g, cons)
 		cfg.Seed = 11
 		res, err := MultiStart(context.Background(), g, cfg,
-			ParallelOptions{Workers: 4, Legs: 6, Adaptive: true, Share: share, RoundEvals: 64, MaxRounds: 4})
+			ParallelOptions{Workers: 4, Legs: 6, Share: share, RoundEvals: 64, MaxRounds: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +165,7 @@ func TestAdaptiveRespawnPanics(t *testing.T) {
 		cfg.MaxIters = 200
 		cfg.Eval.Hook = &faultinject.Injector{PanicLegs: []int{1}, PanicAtEval: 3}
 		res, err := MultiStart(context.Background(), g, cfg,
-			ParallelOptions{Workers: workers, Legs: 5, Adaptive: true, Share: true, RoundEvals: 48, MaxRounds: 4})
+			ParallelOptions{Workers: workers, Legs: 5, Share: true, RoundEvals: 48, MaxRounds: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +190,7 @@ func TestAdaptiveRespawnPanics(t *testing.T) {
 
 // TestAdaptiveBudget: a global MaxEvals budget is dealt out per round and
 // stops the run with Partial set; the overshoot is bounded by one grace
-// evaluation per leg, as in the static engine.
+// evaluation per leg, as in a one-round run.
 func TestAdaptiveBudget(t *testing.T) {
 	g := benchGraph(t, 9, 6)
 	cfg := config(g, Constraints{})
@@ -199,7 +198,7 @@ func TestAdaptiveBudget(t *testing.T) {
 	cfg.MaxEvals = 200
 	const nLegs = 4
 	res, err := MultiStart(context.Background(), g, cfg,
-		ParallelOptions{Workers: 4, Legs: nLegs, Adaptive: true, RoundEvals: 64, MaxRounds: 8})
+		ParallelOptions{Workers: 4, Legs: nLegs, RoundEvals: 64, MaxRounds: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,12 +213,11 @@ func TestAdaptiveBudget(t *testing.T) {
 
 // TestParallelEmptyShardSemantics pins the satellite contract: a
 // zero-width random shard (lo == hi) runs, contributes no candidate, and
-// still counts as a completed leg — in the static engines and in the
-// adaptive orchestrator, at several worker counts.
+// still counts as a completed leg — in one-round and round-mode runs, at
+// several worker counts.
 func TestParallelEmptyShardSemantics(t *testing.T) {
 	g := benchGraph(t, 6, 3)
-	const iters, nLegs = 3, 8 // 8 shards over 3 candidates: 5 empty
-
+	const iters = 3
 	mkCfg := func() Config {
 		cfg := config(g, Constraints{})
 		cfg.Seed = 5
@@ -230,42 +228,71 @@ func TestParallelEmptyShardSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 5} {
-		res, err := ParallelRandom(context.Background(), g, mkCfg(), ParallelOptions{Workers: workers, Legs: nLegs})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep := res.Report
-		if rep.LegsCompleted != nLegs || rep.LegsPartial != 0 || rep.LegsSkipped != 0 {
-			t.Errorf("workers=%d: empty shards miscounted: %s", workers, rep)
-		}
-		if rep.Evals != iters {
-			t.Errorf("workers=%d: %d evals, want %d", workers, rep.Evals, iters)
-		}
-		if res.Cost != seq.Cost {
-			t.Errorf("workers=%d: cost %v != sequential %v", workers, res.Cost, seq.Cost)
-		}
-		if rep.LegsKilled != 0 || rep.LegsRespawned != 0 || rep.Rounds != 0 {
-			t.Errorf("workers=%d: static engine reported adaptive counters: %s", workers, rep)
+	// ParallelRandom: 8 shards over 3 candidates, 5 empty. Round mode: 12
+	// legs → 4 random shards over 3 candidates, at least one empty; empty
+	// shards finish in round one and are never killed or respawned.
+	for _, tc := range []struct {
+		name string
+		legs int
+		run  func(workers int) (MultiResult, error)
+	}{
+		{"random", 8, func(workers int) (MultiResult, error) {
+			return ParallelRandom(context.Background(), g, mkCfg(), ParallelOptions{Workers: workers, Legs: 8})
+		}},
+		{"rounds", 12, func(workers int) (MultiResult, error) {
+			return MultiStart(context.Background(), g, mkCfg(),
+				ParallelOptions{Workers: workers, Legs: 12, RoundEvals: 32, MaxRounds: 3, KillMargin: -1})
+		}},
+	} {
+		for _, workers := range []int{1, 2, 5} {
+			res, err := tc.run(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := res.Report
+			if rep.LegsCompleted != tc.legs || rep.LegsPartial != 0 || rep.LegsSkipped != 0 {
+				t.Errorf("%s workers=%d: empty shards miscounted: %s", tc.name, workers, rep)
+			}
+			if rep.LegsKilled != 0 || rep.LegsRespawned != 0 {
+				t.Errorf("%s workers=%d: empty shards killed/respawned: %s", tc.name, workers, rep)
+			}
+			if tc.name != "random" {
+				continue
+			}
+			if rep.Evals != iters || res.Cost != seq.Cost {
+				t.Errorf("workers=%d: %d evals, cost %v; want %d, sequential %v", workers, rep.Evals, res.Cost, iters, seq.Cost)
+			}
+			if rep.Rounds != 1 || len(rep.Curve) != 1 {
+				t.Errorf("workers=%d: one-round run reported %d rounds, %d curve points", workers, rep.Rounds, len(rep.Curve))
+			}
 		}
 	}
+}
 
-	// Adaptive: 12 legs → 4 random shards over 3 candidates, at least one
-	// zero-width. Empty shards finish in round one as completed legs and
-	// are never killed or respawned.
-	for _, workers := range []int{1, 4} {
-		cfg := mkCfg()
-		res, err := MultiStart(context.Background(), g, cfg,
-			ParallelOptions{Workers: workers, Legs: 12, Adaptive: true, RoundEvals: 32, MaxRounds: 3, KillMargin: -1})
+// TestAdaptiveAnyRoundOptionEnablesRounds: each round option on its own
+// turns on round-based scheduling, with defaults for the others, so none
+// of them is silently ignored.
+func TestAdaptiveAnyRoundOptionEnablesRounds(t *testing.T) {
+	g := benchGraph(t, 6, 4)
+	for _, tc := range []struct {
+		opt    ParallelOptions
+		rounds int
+	}{
+		{ParallelOptions{}, 1},
+		{ParallelOptions{Share: true}, 8},
+		{ParallelOptions{KillMargin: -1}, 8},
+		{ParallelOptions{RoundEvals: 16}, 8},
+		{ParallelOptions{MaxRounds: 3}, 3},
+	} {
+		cfg := config(g, Constraints{})
+		cfg.Seed = 3
+		tc.opt.Workers, tc.opt.Legs = 2, 4
+		res, err := MultiStart(context.Background(), g, cfg, tc.opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := res.Report
-		if rep.LegsCompleted != 12 || rep.LegsPartial != 0 || rep.LegsSkipped != 0 {
-			t.Errorf("adaptive workers=%d: empty shards miscounted: %s", workers, rep)
-		}
-		if rep.LegsKilled != 0 || rep.LegsRespawned != 0 {
-			t.Errorf("adaptive workers=%d: empty shards killed/respawned: %s", workers, rep)
+		if res.Report.Rounds != tc.rounds {
+			t.Errorf("%+v: %d rounds, want %d", tc.opt, res.Report.Rounds, tc.rounds)
 		}
 	}
 }

@@ -668,14 +668,20 @@ type ExploreRequest struct {
 	MaxEvals  int    `json:"max_evals,omitempty"`
 	TimeoutMs int    `json:"timeout_ms,omitempty"`
 
-	// Adaptive orchestrator knobs; Adaptive (or Share, which implies it)
-	// switches the engine to round-based scheduling.
-	Adaptive   bool    `json:"adaptive,omitempty"`
+	// Round options; setting any of them runs the engine in rounds.
 	Share      bool    `json:"share,omitempty"`
 	RoundEvals int     `json:"round_evals,omitempty"`
 	MaxRounds  int     `json:"max_rounds,omitempty"`
 	KillMargin float64 `json:"kill_margin,omitempty"`
 }
+
+// Fixed bounds on one explore request. The engine allocates per leg and
+// per round, so an unbounded count could exhaust memory, which recover
+// cannot contain.
+const (
+	maxExploreLegs   = 256
+	maxExploreRounds = 1024
+)
 
 // ExploreResponse reports the merged portfolio result.
 type ExploreResponse struct {
@@ -709,6 +715,17 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if req.Algo == "" {
 		req.Algo = "multi"
 	}
+	// Legs default to workers, so the leg count is fixed before workers
+	// is clamped to the host: clamping then changes only scheduling,
+	// never the result.
+	if req.Legs == 0 {
+		req.Legs = req.Workers
+	}
+	if req.Legs > maxExploreLegs || req.MaxRounds > maxExploreRounds {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("explore allows at most %d legs and %d rounds", maxExploreLegs, maxExploreRounds))
+		return
+	}
+	req.Workers = min(req.Workers, runtime.GOMAXPROCS(0))
 	ctx, cancel := s.deadline(r, req.TimeoutMs)
 	defer cancel()
 	release, ok := s.admit(ctx, sess, w)
@@ -722,8 +739,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	res, err := env.PartitionSearchParallel(ctx, req.Algo, partition.Constraints{},
 		partition.DefaultWeights(), req.Seed, req.Iters, s.budget(req.MaxEvals),
 		partition.ParallelOptions{
-			Workers: req.Workers, Legs: req.Legs,
-			Adaptive: req.Adaptive, Share: req.Share,
+			Workers: req.Workers, Legs: req.Legs, Share: req.Share,
 			RoundEvals: req.RoundEvals, MaxRounds: req.MaxRounds, KillMargin: req.KillMargin,
 		})
 	if err != nil {

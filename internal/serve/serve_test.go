@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"specsyn/internal/vhdl"
 )
@@ -260,6 +261,54 @@ func TestServerDeepNesting(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "nesting deeper than") {
 		t.Fatalf("deep build: status %d, body %.300s; want 422 with the nesting diagnostic", resp.StatusCode, msg)
+	}
+	buildDesign(t, ts, "fuzzy", "fuzzy")
+}
+
+// TestServerExploreBounds: explore bodies whose leg or round count would
+// make the daemon allocate without bound get a quick 400 that names the
+// limits, and the daemon keeps serving. Legs default to workers, so a
+// workers-only request keeps its leg count when workers is clamped to the
+// host's cores: the result does not depend on the host.
+func TestServerExploreBounds(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	c := ts.Client()
+	buildDesign(t, ts, "a", "fuzzy")
+	url := ts.URL + "/v1/designs/a/explore"
+	for _, body := range []string{
+		`{"workers": 1073741824, "max_evals": 100}`,
+		`{"legs": 1073741824, "max_evals": 100}`,
+		`{"legs": 4, "max_rounds": 1073741824, "max_evals": 100}`,
+		`{"adaptive": true}`, // removed field: unknown fields are rejected
+	} {
+		start := time.Now()
+		resp, err := c.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+		if !strings.Contains(body, "adaptive") && !strings.Contains(string(msg), fmt.Sprint(maxExploreLegs)) {
+			t.Errorf("%s: error %s does not name the limits", body, msg)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Errorf("%s: rejected after %v", body, d)
+		}
+	}
+
+	var byWorkers, byLegs ExploreResponse
+	if code := postJSON(t, c, url, ExploreRequest{Workers: 16, Seed: 7, MaxEvals: 2000}, &byWorkers); code != http.StatusOK {
+		t.Fatalf("workers-only explore: status %d", code)
+	}
+	if code := postJSON(t, c, url, ExploreRequest{Legs: 16, Workers: 1, Seed: 7, MaxEvals: 2000}, &byLegs); code != http.StatusOK {
+		t.Fatalf("16-leg explore: status %d", code)
+	}
+	if byWorkers.LegsPlanned != 16 || byWorkers.Cost != byLegs.Cost || byWorkers.BestLeg != byLegs.BestLeg || byWorkers.Evals != byLegs.Evals {
+		t.Errorf("workers-only explore %+v differs from the 16-leg explore %+v", byWorkers, byLegs)
 	}
 	buildDesign(t, ts, "fuzzy", "fuzzy")
 }

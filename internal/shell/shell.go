@@ -310,7 +310,6 @@ func (s *Session) cmdSearch(args []string) error {
 	if algo == "multi" || algo == "portfolio" {
 		opt := partition.ParallelOptions{}
 		if algo == "portfolio" {
-			opt.Adaptive = true
 			opt.Share = true
 		}
 		if len(args) > 1 {
@@ -327,7 +326,7 @@ func (s *Session) cmdSearch(args []string) error {
 		s.snapshot()
 		s.Pt = res.Best
 		fmt.Fprintf(s.out, "%s: %s (%d legs, best from leg %d)\n", algo, res.Result, len(res.Legs), res.BestLeg)
-		if rep := res.Report; rep.Rounds > 0 {
+		if rep := res.Report; rep.Rounds > 1 {
 			fmt.Fprintf(s.out, "adaptive: %d rounds, %d legs killed, %d respawned\n",
 				rep.Rounds, rep.LegsKilled, rep.LegsRespawned)
 		}

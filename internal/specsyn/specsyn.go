@@ -281,13 +281,15 @@ func (e *Env) PartitionSearch(ctx context.Context, algo string, cons partition.C
 	return partition.Result{}, fmt.Errorf("specsyn: unknown algorithm %q (want random, greedy, cluster, gm, anneal or exhaustive)", algo)
 }
 
-// PartitionSearchParallel runs the parallel multi-start engine: "random"
-// shards the random candidate enumeration across legs (bit-identical to
-// the sequential Random at equal seeds), "multi" (or "") runs the mixed
-// greedy/anneal/random portfolio, and "portfolio" runs the same mix under
-// the adaptive round-based orchestrator (incumbent tracking, laggard
-// kill/respawn, anytime curve). The result is deterministic for a given
-// seed and leg count, whatever the worker count.
+// PartitionSearchParallel runs the parallel multi-start engine. The
+// algorithm names are presets over one engine: "random" shards the random
+// candidate enumeration across legs (bit-identical to the sequential
+// Random at equal seeds; only Workers and Legs are read from opt), "multi"
+// (or "") runs the mixed greedy/anneal/random portfolio with opt as given,
+// and "portfolio" runs the same mix in rounds (incumbent tracking, laggard
+// kill/respawn, anytime curve), filling in 256 evals per leg per round and
+// 8 rounds where opt leaves them zero. The result is deterministic for a
+// given seed and leg count, whatever the worker count.
 func (e *Env) PartitionSearchParallel(ctx context.Context, algo string, cons partition.Constraints, w partition.Weights, seed int64, iters, maxEvals int, opt partition.ParallelOptions) (partition.MultiResult, error) {
 	cfg, err := e.searchConfig(cons, w, seed, iters)
 	if err != nil {
@@ -300,7 +302,12 @@ func (e *Env) PartitionSearchParallel(ctx context.Context, algo string, cons par
 	case "multi", "":
 		return partition.MultiStart(ctx, e.Graph, cfg, opt)
 	case "portfolio":
-		opt.Adaptive = true
+		if opt.RoundEvals == 0 {
+			opt.RoundEvals = 256
+		}
+		if opt.MaxRounds == 0 {
+			opt.MaxRounds = 8
+		}
 		return partition.MultiStart(ctx, e.Graph, cfg, opt)
 	}
 	return partition.MultiResult{}, fmt.Errorf("specsyn: unknown parallel algorithm %q (want random, multi or portfolio)", algo)
