@@ -531,10 +531,14 @@ func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool, po
 	}
 	fmt.Println()
 	if jsonOut {
+		// The machine the numbers were measured on travels with them.
 		out := struct {
+			NProc      int               `json:"nproc"`
+			GoMaxProcs int               `json:"gomaxprocs"`
+			GoVersion  string            `json:"go_version"`
 			Throughput []exploreRecord   `json:"throughput"`
 			Portfolio  []portfolioRecord `json:"portfolio"`
-		}{records, portRecords}
+		}{runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), records, portRecords}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			fatal(err)

@@ -34,95 +34,104 @@ func deltaSubjectConstraints(g *core.Graph) partition.Constraints {
 // TestDeltaDifferentialExamples runs ≥1000 random steps per subject — a
 // move or, a third of the time, a pair swap — checking every incremental
 // MoveCost and SwapCost against a full-recompute oracle, committing about
-// half of them, and periodically cross-checking the committed state.
+// half of them, and periodically cross-checking the committed state. Each
+// subject runs with every cost term active and with no constraints, the
+// case where the evaluator keeps no Exectimes up to date.
 func TestDeltaDifferentialExamples(t *testing.T) {
 	const steps = 1000
 	for _, sub := range exploreGraphs(t) {
+		g := sub.g
 		t.Run(sub.name, func(t *testing.T) {
-			g := sub.g
-			cons := deltaSubjectConstraints(g)
-			ev := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
-			oracle := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
-			policy := partition.SingleBus(g.Buses[0])
-			pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
-			d, err := ev.Delta(pt, policy)
-			if err != nil {
-				t.Fatalf("Delta on %s: %v", sub.name, err)
-			}
-			allowed := map[*core.Node]map[core.Component]bool{}
-			for _, n := range g.Nodes {
-				allowed[n] = map[core.Component]bool{}
-				for _, c := range partition.Allowed(g, n) {
-					allowed[n][c] = true
-				}
-			}
-			oracleCost := func(step int, what string, trial *core.Partition) float64 {
-				if err := partition.ApplyBusPolicy(trial, policy); err != nil {
-					t.Fatal(err)
-				}
-				want, err := oracle.Cost(trial)
-				if err != nil {
-					t.Fatalf("step %d: oracle %s: %v", step, what, err)
-				}
-				return want
-			}
-			rng := rand.New(rand.NewSource(11))
-			for step := 0; step < steps; step++ {
-				a, b := g.Nodes[rng.Intn(len(g.Nodes))], g.Nodes[rng.Intn(len(g.Nodes))]
-				ca, cb := pt.BvComp(a), pt.BvComp(b)
-				commit := rng.Float64() < 0.5
-				trial := pt.Clone()
-				if rng.Float64() < 1.0/3 && allowed[a][cb] && allowed[b][ca] {
-					got, err := d.SwapCost(a, b)
+			for _, run := range []struct {
+				name string
+				cons partition.Constraints
+			}{{"constrained", deltaSubjectConstraints(g)}, {"unconstrained", partition.Constraints{}}} {
+				t.Run(run.name, func(t *testing.T) {
+					cons := run.cons
+					ev := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
+					oracle := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
+					policy := partition.SingleBus(g.Buses[0])
+					pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+					d, err := ev.Delta(pt, policy)
 					if err != nil {
-						t.Fatalf("step %d: SwapCost(%s, %s): %v", step, a.Name, b.Name, err)
+						t.Fatalf("Delta on %s: %v", sub.name, err)
 					}
-					if err := trial.Assign(a, cb); err != nil {
-						t.Fatal(err)
-					}
-					if err := trial.Assign(b, ca); err != nil {
-						t.Fatal(err)
-					}
-					if want := oracleCost(step, "swap", trial); math.Abs(got-want) > 1e-9 {
-						t.Fatalf("step %d: SwapCost(%s, %s) = %.15g, oracle %.15g", step, a.Name, b.Name, got, want)
-					}
-					if commit {
-						if err := d.ApplySwap(a, b); err != nil {
-							t.Fatalf("step %d: ApplySwap: %v", step, err)
+					allowed := map[*core.Node]map[core.Component]bool{}
+					for _, n := range g.Nodes {
+						allowed[n] = map[core.Component]bool{}
+						for _, c := range partition.Allowed(g, n) {
+							allowed[n][c] = true
 						}
 					}
-				} else {
-					cands := partition.Allowed(g, a)
-					if len(cands) == 0 {
-						continue
+					oracleCost := func(step int, what string, trial *core.Partition) float64 {
+						if err := partition.ApplyBusPolicy(trial, policy); err != nil {
+							t.Fatal(err)
+						}
+						want, err := oracle.Cost(trial)
+						if err != nil {
+							t.Fatalf("step %d: oracle %s: %v", step, what, err)
+						}
+						return want
 					}
-					to := cands[rng.Intn(len(cands))]
-					got, err := d.MoveCost(a, to)
-					if err != nil {
-						t.Fatalf("step %d: MoveCost(%s→%s): %v", step, a.Name, to.CompName(), err)
-					}
-					if err := trial.Assign(a, to); err != nil {
-						t.Fatal(err)
-					}
-					if want := oracleCost(step, "move", trial); math.Abs(got-want) > 1e-9 {
-						t.Fatalf("step %d: MoveCost(%s→%s) = %.15g, oracle %.15g (Δ %g)",
-							step, a.Name, to.CompName(), got, want, got-want)
-					}
-					if commit {
-						if err := d.Apply(a, to); err != nil {
-							t.Fatalf("step %d: Apply: %v", step, err)
+					rng := rand.New(rand.NewSource(11))
+					for step := 0; step < steps; step++ {
+						a, b := g.Nodes[rng.Intn(len(g.Nodes))], g.Nodes[rng.Intn(len(g.Nodes))]
+						ca, cb := pt.BvComp(a), pt.BvComp(b)
+						commit := rng.Float64() < 0.5
+						trial := pt.Clone()
+						if rng.Float64() < 1.0/3 && allowed[a][cb] && allowed[b][ca] {
+							got, err := d.SwapCost(a, b)
+							if err != nil {
+								t.Fatalf("step %d: SwapCost(%s, %s): %v", step, a.Name, b.Name, err)
+							}
+							if err := trial.Assign(a, cb); err != nil {
+								t.Fatal(err)
+							}
+							if err := trial.Assign(b, ca); err != nil {
+								t.Fatal(err)
+							}
+							if want := oracleCost(step, "swap", trial); math.Abs(got-want) > 1e-9 {
+								t.Fatalf("step %d: SwapCost(%s, %s) = %.15g, oracle %.15g", step, a.Name, b.Name, got, want)
+							}
+							if commit {
+								if err := d.ApplySwap(a, b); err != nil {
+									t.Fatalf("step %d: ApplySwap: %v", step, err)
+								}
+							}
+						} else {
+							cands := partition.Allowed(g, a)
+							if len(cands) == 0 {
+								continue
+							}
+							to := cands[rng.Intn(len(cands))]
+							got, err := d.MoveCost(a, to)
+							if err != nil {
+								t.Fatalf("step %d: MoveCost(%s→%s): %v", step, a.Name, to.CompName(), err)
+							}
+							if err := trial.Assign(a, to); err != nil {
+								t.Fatal(err)
+							}
+							if want := oracleCost(step, "move", trial); math.Abs(got-want) > 1e-9 {
+								t.Fatalf("step %d: MoveCost(%s→%s) = %.15g, oracle %.15g (Δ %g)",
+									step, a.Name, to.CompName(), got, want, got-want)
+							}
+							if commit {
+								if err := d.Apply(a, to); err != nil {
+									t.Fatalf("step %d: Apply: %v", step, err)
+								}
+							}
+						}
+						if step%127 == 0 {
+							got, err := d.Cost()
+							if err != nil {
+								t.Fatalf("step %d: Cost: %v", step, err)
+							}
+							if want := oracleCost(step, "commit", pt.Clone()); math.Abs(got-want) > 1e-9 {
+								t.Fatalf("step %d: committed Cost = %.15g, oracle %.15g", step, got, want)
+							}
 						}
 					}
-				}
-				if step%127 == 0 {
-					got, err := d.Cost()
-					if err != nil {
-						t.Fatalf("step %d: Cost: %v", step, err)
-					}
-					if want := oracleCost(step, "commit", pt.Clone()); math.Abs(got-want) > 1e-9 {
-						t.Fatalf("step %d: committed Cost = %.15g, oracle %.15g", step, got, want)
-					}
-				}
+				})
 			}
 		})
 	}
@@ -140,13 +149,17 @@ func moveBenchGraph(b *testing.B, name string) *core.Graph {
 	return loadEnv(b, name).Graph
 }
 
-// moveBenchSetup binds a delta evaluator to an example and precomputes a
-// rotation of (node, destination) moves so the benchmark loop measures
-// only MoveCost.
-func moveBenchSetup(b *testing.B, name string) (*partition.DeltaEval, []*core.Node, []core.Component) {
+// moveBenchSetup binds a delta evaluator to an example, with every cost
+// term active or with no constraints, and precomputes a rotation of
+// (node, destination) moves so the benchmark loop measures only MoveCost.
+func moveBenchSetup(b *testing.B, name string, constrained bool) (*partition.DeltaEval, []*core.Node, []core.Component) {
 	b.Helper()
 	g := moveBenchGraph(b, name)
-	ev := partition.NewEvaluator(g, deltaSubjectConstraints(g), partition.DefaultWeights(), estimate.Options{})
+	cons := partition.Constraints{}
+	if constrained {
+		cons = deltaSubjectConstraints(g)
+	}
+	ev := partition.NewEvaluator(g, cons, partition.DefaultWeights(), estimate.Options{})
 	pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
 	d, err := ev.Delta(pt, partition.SingleBus(g.Buses[0]))
 	if err != nil {
@@ -173,12 +186,15 @@ func moveBenchSetup(b *testing.B, name string) (*partition.DeltaEval, []*core.No
 // partitioning inner loop — costed entirely from the compiled CSR
 // snapshot, touching no Partition maps and no pointers. The subjects
 // extend up the size axis (syn-p128 ≈ an order of magnitude past ether).
-// CI runs it with -benchmem and fails on a non-zero steady-state
-// allocation rate, and holds it well under BenchmarkFullCost.
+// Each runs with every cost term active and, under unconstrained/, with
+// none, where a trial skips the Exectime upkeep. CI runs it with
+// -benchmem and fails on a non-zero steady-state allocation rate, and
+// holds it well under BenchmarkFullCost.
 func BenchmarkSnapshotMoveCost(b *testing.B) {
-	for _, name := range []string{"ans", "ether", "syn-p8", "syn-p32", "syn-p128"} {
-		b.Run(name, func(b *testing.B) {
-			d, nodes, dests := moveBenchSetup(b, name)
+	subjects := []string{"ans", "ether", "syn-p8", "syn-p32", "syn-p128"}
+	run := func(name string, constrained bool) func(*testing.B) {
+		return func(b *testing.B) {
+			d, nodes, dests := moveBenchSetup(b, name, constrained)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -188,8 +204,16 @@ func BenchmarkSnapshotMoveCost(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "designs/s")
-		})
+		}
 	}
+	for _, name := range subjects {
+		b.Run(name, run(name, true))
+	}
+	b.Run("unconstrained", func(b *testing.B) {
+		for _, name := range subjects {
+			b.Run(name, run(name, false))
+		}
+	})
 }
 
 // BenchmarkFullCost is the same trial costed by full recompute — the

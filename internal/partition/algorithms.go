@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"specsyn/internal/core"
@@ -223,12 +224,18 @@ func bindVector(g *core.Graph, cfg Config) (*DeltaEval, [][]int32, error) {
 	}
 	ids := make([][]int32, len(table))
 	for j, cands := range table {
-		ids[j] = make([]int32, len(cands))
-		for k, c := range cands {
-			ids[j][k] = d.compIdx[c]
-		}
+		ids[j] = d.compIDs(cands)
 	}
 	return d, ids, nil
+}
+
+// compIDs translates components to the delta evaluator's component IDs.
+func (d *DeltaEval) compIDs(cs []core.Component) []int32 {
+	ids := make([]int32, len(cs))
+	for k, c := range cs {
+		ids[k] = d.compIdx[c]
+	}
+	return ids
 }
 
 // materialize builds the Partition for an assignment vector, with its
@@ -263,77 +270,62 @@ func Greedy(ctx context.Context, g *core.Graph, cfg Config) (Result, error) {
 func greedyRotated(ctx context.Context, g *core.Graph, cfg Config, rotate int) (Result, error) {
 	start := cfg.Eval.Evals
 
-	// Node order: heaviest communicators first.
-	traffic := map[*core.Node]float64{}
-	for _, c := range g.Channels {
-		v := c.AccFreq * float64(c.Bits)
-		traffic[c.Src] += v
-		if n, ok := c.Dst.(*core.Node); ok {
-			traffic[n] += v
-		}
-	}
-	nodes := append([]*core.Node(nil), g.Nodes...)
-	sort.SliceStable(nodes, func(i, j int) bool { return traffic[nodes[i]] > traffic[nodes[j]] })
-	if len(nodes) > 0 {
-		if r := rotate % len(nodes); r > 0 {
-			nodes = append(nodes[r:], nodes[:r]...)
-		}
-	}
-
 	// Seed: everything on its first candidate.
-	pt := core.NewPartition(g)
-	for _, n := range g.Nodes {
-		cands := Allowed(g, n)
-		if len(cands) == 0 {
-			return Result{}, fmt.Errorf("partition: node %q has no candidate component", n.Name)
-		}
-		if err := pt.Assign(n, cands[0]); err != nil {
-			return Result{}, err
-		}
-	}
-
-	m, err := cfg.Eval.Delta(pt, cfg.Policy)
+	m, ids, err := bindVector(g, cfg)
 	if err != nil {
 		return Result{}, err
 	}
+
+	// Node order: heaviest communicators first.
+	traffic := make([]float64, len(g.Nodes))
+	for ci, c := range g.Channels {
+		v := c.AccFreq * float64(c.Bits)
+		traffic[m.snap.ChanSrc[ci]] += v
+		if di := m.snap.ChanDst[ci]; di >= 0 {
+			traffic[di] += v
+		}
+	}
+	order := make([]int32, len(g.Nodes))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(i, j int) bool { return traffic[order[i]] > traffic[order[j]] })
+	if len(order) > 0 {
+		if r := rotate % len(order); r > 0 {
+			order = append(order[r:], order[:r]...)
+		}
+	}
+
 	partial := false
 place:
-	for _, n := range nodes {
+	for _, ni := range order {
 		if cancelled(ctx) || !cfg.budgetLeft(start) {
 			partial = true
 			break
 		}
 		bestCost := math.Inf(1)
-		var bestComp core.Component
-		from := pt.BvComp(n)
-		for _, comp := range Allowed(g, n) {
-			cost, err := m.MoveCost(n, comp)
+		best := m.asg.NodeComp[ni] // kept if no candidate beats +Inf
+		for _, c := range ids[ni] {
+			cost, err := m.MoveCost(g.Nodes[ni], m.comps[c])
 			if err != nil {
 				return Result{}, err
 			}
 			if cost < bestCost {
-				bestCost, bestComp = cost, comp
+				bestCost, best = cost, c
 			}
 			if !cfg.budgetLeft(start) {
 				// Mid-node budget exhaustion: commit the best candidate
-				// tried so far (the mapping stays complete) and stop. The
-				// same fallback as below — no candidate may have beaten
-				// +Inf yet (every cost so far NaN), and Apply(n, nil)
-				// would tear the mapping.
-				if bestComp == nil {
-					bestComp = from
-				}
-				if err := m.Apply(n, bestComp); err != nil {
+				// tried so far (the mapping stays complete) and stop. No
+				// candidate may have beaten +Inf yet (every cost so far
+				// NaN); the node then stays where it is.
+				if err := m.Apply(g.Nodes[ni], m.comps[best]); err != nil {
 					return Result{}, err
 				}
 				partial = true
 				break place
 			}
 		}
-		if bestComp == nil {
-			bestComp = from
-		}
-		if err := m.Apply(n, bestComp); err != nil {
+		if err := m.Apply(g.Nodes[ni], m.comps[best]); err != nil {
 			return Result{}, err
 		}
 	}
@@ -341,7 +333,7 @@ place:
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Best: pt, Cost: cost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
+	return Result{Best: m.pt, Cost: cost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
 }
 
 // GroupMigration is a Kernighan–Lin style improvement pass over an initial
@@ -553,34 +545,29 @@ func Anneal(ctx context.Context, init *core.Partition, cfg Config) (Result, erro
 	if err != nil {
 		return Result{}, err
 	}
-	best := cur.Clone()
+	// The walk runs on the assignment vector; the best is a copy of it,
+	// materialized once at return.
+	vec := m.asg.NodeComp
+	bestVec := slices.Clone(vec)
 	bestCost := curCost
 
 	temp := math.Max(curCost, 1.0)
 	cool := math.Pow(0.01/temp, 1/float64(iters)) // end near temp=0.01
 
-	movable := make([]*core.Node, 0, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if len(Allowed(g, n)) > 1 {
-			movable = append(movable, n)
+	cands := make([][]int32, len(g.Nodes))
+	movable := make([]int32, 0, len(g.Nodes))
+	for j, n := range g.Nodes {
+		cands[j] = m.compIDs(Allowed(g, n))
+		if len(cands[j]) > 1 {
+			movable = append(movable, int32(j))
 		}
 	}
 	if len(movable) == 0 {
-		return Result{Best: best, Cost: bestCost, Evals: cfg.Eval.Evals - start}, nil
-	}
-
-	// Swap proposals need the candidate sets as membership tests; built
-	// only when the move kind is enabled so SwapProb == 0 costs nothing.
-	var swapAllowed map[*core.Node]map[core.Component]bool
-	if cfg.SwapProb > 0 {
-		swapAllowed = make(map[*core.Node]map[core.Component]bool, len(movable))
-		for _, n := range movable {
-			set := make(map[core.Component]bool)
-			for _, c := range Allowed(g, n) {
-				set[c] = true
-			}
-			swapAllowed[n] = set
+		best, err := materialize(g, m, bestVec, cfg.Policy)
+		if err != nil {
+			return Result{}, err
 		}
+		return Result{Best: best, Cost: bestCost, Evals: cfg.Eval.Evals - start}, nil
 	}
 
 	partial := false
@@ -596,20 +583,20 @@ func Anneal(ctx context.Context, init *core.Partition, cfg Config) (Result, erro
 		if cfg.SwapProb > 0 && len(movable) > 1 && rng.Float64() < cfg.SwapProb {
 			a := movable[rng.Intn(len(movable))]
 			b := movable[rng.Intn(len(movable))]
-			ca, cb := cur.BvComp(a), cur.BvComp(b)
-			if a != b && ca != cb && swapAllowed[a][cb] && swapAllowed[b][ca] {
-				cost, err := m.SwapCost(a, b)
+			ca, cb := vec[a], vec[b]
+			if a != b && ca != cb && slices.Contains(cands[a], cb) && slices.Contains(cands[b], ca) {
+				cost, err := m.SwapCost(g.Nodes[a], g.Nodes[b])
 				if err != nil {
 					return Result{}, err
 				}
 				if cost <= curCost || rng.Float64() < math.Exp((curCost-cost)/temp) {
-					if err := m.ApplySwap(a, b); err != nil {
+					if err := m.ApplySwap(g.Nodes[a], g.Nodes[b]); err != nil {
 						return Result{}, err
 					}
 					curCost = cost
 					if cost < bestCost {
 						bestCost = cost
-						best = cur.Clone()
+						copy(bestVec, vec)
 					}
 				}
 				temp *= cool
@@ -620,50 +607,43 @@ func Anneal(ctx context.Context, init *core.Partition, cfg Config) (Result, erro
 			// the iteration still proposes something and cools exactly once.
 		}
 		n := movable[rng.Intn(len(movable))]
-		from := cur.BvComp(n)
-		cands := Allowed(g, n)
-		// Draw the destination from the candidates excluding from, so every
-		// iteration proposes a real move and cools exactly once. (Redrawing
-		// on to == from made the effective schedule length depend on how
-		// often the RNG hit the current component: two runs with equal
-		// MaxIters saw different final temperatures.)
-		fromIdx := -1
-		for k, c := range cands {
-			if c == from {
-				fromIdx = k
-				break
-			}
-		}
-		var to core.Component
-		if fromIdx < 0 {
+		nc := cands[n]
+		// Draw the destination from the candidates excluding the current
+		// one, so every iteration proposes a real move and cools exactly
+		// once. (Redrawing on to == from made the effective schedule
+		// length depend on how often the RNG hit the current component:
+		// two runs with equal MaxIters saw different final temperatures.)
+		var to int32
+		if fromIdx := slices.Index(nc, vec[n]); fromIdx < 0 {
 			// Initial partition mapped n outside its candidate set; any
 			// candidate is a real move.
-			to = cands[rng.Intn(len(cands))]
+			to = nc[rng.Intn(len(nc))]
 		} else {
-			j := rng.Intn(len(cands) - 1)
+			j := rng.Intn(len(nc) - 1)
 			if j >= fromIdx {
 				j++
 			}
-			to = cands[j]
+			to = nc[j]
 		}
-		cost, err := m.MoveCost(n, to)
+		cost, err := m.MoveCost(g.Nodes[n], m.comps[to])
 		if err != nil {
 			return Result{}, err
 		}
 		accept := cost <= curCost || rng.Float64() < math.Exp((curCost-cost)/temp)
 		if accept {
-			if err := m.Apply(n, to); err != nil {
+			if err := m.Apply(g.Nodes[n], m.comps[to]); err != nil {
 				return Result{}, err
 			}
 			curCost = cost
 			if cost < bestCost {
 				bestCost = cost
-				best = cur.Clone()
+				copy(bestVec, vec)
 			}
 		}
 		temp *= cool
 	}
-	if err := ApplyBusPolicy(best, cfg.Policy); err != nil {
+	best, err := materialize(g, m, bestVec, cfg.Policy)
+	if err != nil {
 		return Result{}, err
 	}
 	return Result{Best: best, Cost: bestCost, Evals: cfg.Eval.Evals - start, Partial: partial, FinalTemp: temp}, nil

@@ -7,10 +7,18 @@ package partition
 // one by a single object move. DeltaEval instead materializes every sum
 // the cost function reads (per-component size and IO, per-bus bitrate,
 // the cut-traffic total, per-node Exectime) and updates only the entries
-// a move touches: O(degree of the moved node + its dependent region).
-// That makes a move trial "a matter of table lookups and sums" (§4) and
-// is what lets the searches explore thousands of designs per second on
-// graphs where a full re-estimate would dominate.
+// a move touches: O(degree of the moved node), plus its dependent region
+// when a cost term reads Exectimes. That makes a move trial "a matter of
+// table lookups and sums" (§4) and is what lets the searches explore
+// thousands of designs per second on graphs where a full re-estimate
+// would dominate.
+//
+// Exectimes are kept only on demand. The cost function reads an Exectime
+// in two places: a process deadline (under W.Time > 0) and the bitrate of
+// a channel on a rate-limited bus (under W.Rate > 0). When neither is
+// active — every unconstrained search — moves and whole candidates skip
+// the Exectime and bitrate upkeep entirely, and the cost is the size, pin
+// and cut-traffic sums alone.
 //
 // The evaluator's working state is a flat core.Assignment vector over the
 // graph's compiled core.Snapshot: a trial move is int32 stores and array
@@ -55,6 +63,12 @@ const deltaRefreshInterval = 64
 // MoveCost, SwapCost and Cost fire the evaluator's fault-injection hook
 // and count one evaluation each, exactly like Evaluator.Cost; Apply and
 // ApplySwap are bookkeeping and count nothing.
+//
+// Invariant: while needEt is false the Exectimes in incr, and the
+// per-channel bitrates, are stale — moves since the last Rebind have not
+// refreshed them, and nothing reads them. Rebind always recomputes every
+// Exectime, so a rebind that activates a deadline or rate term starts
+// from fresh values.
 type DeltaEval struct {
 	ev             *Evaluator
 	deps           *estimate.Deps
@@ -63,6 +77,8 @@ type DeltaEval struct {
 	pt             *core.Partition
 	intBus, extBus int32   // the bus policy, resolved at Rebind
 	w              Weights // captured at Rebind; see Evaluator's EstOpt contract
+	needEt         bool    // some active cost term reads an Exectime (derived at Rebind)
+	anyRate        bool    // some bus is rate-tracked (W.Rate > 0 and a bus limit)
 
 	// Static tables, built once per evaluator. Object pointers are kept
 	// only to translate between the caller's pointer world and the
@@ -199,6 +215,8 @@ func newDeltaEval(ev *Evaluator) (*DeltaEval, error) {
 // Rebind points the evaluator at a partition and bus policy, applies the
 // policy to every channel (writing the derivation through to pt), and
 // re-derives every sum — O(graph), paid once per search, not per move.
+// It recomputes every Exectime whether or not the cost terms read them,
+// so it also refuses a mapping the estimator cannot cost.
 func (d *DeltaEval) Rebind(pt *core.Partition, policy BusPolicy) error {
 	var okInt, okExt bool
 	d.intBus, okInt = d.busIdx[policy.Internal]
@@ -208,10 +226,14 @@ func (d *DeltaEval) Rebind(pt *core.Partition, policy BusPolicy) error {
 	}
 	d.pt, d.broken = pt, false
 	d.w = d.ev.W
+	// The oracle reads an Exectime only for a deadline or a rate-limited
+	// bus's bitrate; without either, moves skip the Exectime upkeep.
+	d.anyRate = d.w.Rate > 0 && len(d.rateBus) > 0
+	d.needEt = d.anyRate || d.w.Time > 0 && len(d.dlNode) > 0
 	for i := range d.hasRate {
 		d.hasRate[i] = false
 	}
-	if d.w.Rate > 0 {
+	if d.anyRate {
 		for _, bi := range d.rateBus {
 			d.hasRate[bi] = true
 		}
@@ -250,7 +272,9 @@ func (d *DeltaEval) chanBus(ci int32) int32 {
 // refresh re-derives every floating-point sum from scratch, in the same
 // summation order the full recompute uses, resetting accumulated drift.
 // The integer sums (cutCnt, ioSum, badCnt) are re-derived too, though
-// incremental maintenance keeps those exact anyway.
+// incremental maintenance keeps those exact anyway. It also fails on a
+// node without an ict weight on its component, the error the Exectime
+// recompute reports when it runs.
 func (d *DeltaEval) refresh() error {
 	for i := range d.sizeSum {
 		d.sizeSum[i] = 0
@@ -270,6 +294,9 @@ func (d *DeltaEval) refresh() error {
 		w := s.Size[i*nc+int(ci)]
 		if math.IsNaN(w) {
 			return fmt.Errorf("estimate: node %q has no size weight for component type %q", s.NodeNames[i], s.TypeNames[s.CompType[ci]])
+		}
+		if math.IsNaN(s.ICT[i*nc+int(ci)]) && !d.deps.Cyclic(int32(i)) {
+			return fmt.Errorf("estimate: node %q has no ict weight for component type %q", s.NodeNames[i], s.TypeNames[s.CompType[ci]])
 		}
 		d.sizeSum[ci] += w
 	}
@@ -417,7 +444,12 @@ func (d *DeltaEval) move(ni, toIdx int32) error {
 		return fmt.Errorf("partition: behavior %q may only map to a processor, not %q", s.NodeNames[ni], s.CompNames[toIdx])
 	}
 
-	aff := d.deps.Affected(ni)
+	// The dependent region whose Exectimes the move changes; empty when
+	// no cost term reads an Exectime.
+	var aff []int32
+	if d.needEt {
+		aff = d.deps.Affected(ni)
+	}
 	// Detach: cut/IO/traffic contributions of the channels touching n
 	// (under the old buses and components) ...
 	for _, ci := range s.Out(ni) {
@@ -428,13 +460,15 @@ func (d *DeltaEval) move(ni, toIdx int32) error {
 	}
 	// ... and the bitrate of every channel whose source Exectime is about
 	// to change (the incident channels' sources are all in aff).
-	for _, ai := range aff {
-		for _, ci := range s.Out(ai) {
-			if d.chBad[ci] {
-				d.badCnt[d.asg.ChanBus[ci]]--
-				d.chBad[ci] = false
-			} else if d.hasRate[d.asg.ChanBus[ci]] {
-				d.busRate[d.asg.ChanBus[ci]] -= d.chBr[ci]
+	if d.anyRate {
+		for _, ai := range aff {
+			for _, ci := range s.Out(ai) {
+				if d.chBad[ci] {
+					d.badCnt[d.asg.ChanBus[ci]]--
+					d.chBad[ci] = false
+				} else if d.hasRate[d.asg.ChanBus[ci]] {
+					d.busRate[d.asg.ChanBus[ci]] -= d.chBr[ci]
+				}
 			}
 		}
 	}
@@ -457,18 +491,20 @@ func (d *DeltaEval) move(ni, toIdx int32) error {
 		d.broken = true
 		return err
 	}
-	for _, ai := range aff {
-		for _, ci := range s.Out(ai) {
-			bi := d.asg.ChanBus[ci]
-			if !d.hasRate[bi] {
-				continue
-			}
-			br, bad := d.bitrate(int(ci))
-			d.chBr[ci], d.chBad[ci] = br, bad
-			if bad {
-				d.badCnt[bi]++
-			} else {
-				d.busRate[bi] += br
+	if d.anyRate {
+		for _, ai := range aff {
+			for _, ci := range s.Out(ai) {
+				bi := d.asg.ChanBus[ci]
+				if !d.hasRate[bi] {
+					continue
+				}
+				br, bad := d.bitrate(int(ci))
+				d.chBr[ci], d.chBad[ci] = br, bad
+				if bad {
+					d.badCnt[bi]++
+				} else {
+					d.busRate[bi] += br
+				}
 			}
 		}
 	}
@@ -560,7 +596,7 @@ func (d *DeltaEval) beginEval() error {
 
 // MoveCost returns the cost the bound partition would have with n moved
 // to `to`, leaving the partition as it was: the move is applied, costed
-// and inverted, all at O(degree). It counts as one evaluation.
+// and inverted. It counts as one evaluation.
 func (d *DeltaEval) MoveCost(n *core.Node, to core.Component) (float64, error) {
 	if err := d.beginEval(); err != nil {
 		return 0, err
@@ -633,11 +669,11 @@ func (d *DeltaEval) swapIdx(a, b *core.Node) (ai, bi, ca, cb int32, err error) {
 
 // SwapCost returns the cost the bound partition would have with nodes a
 // and b exchanging components, leaving the partition as it was. The
-// exchange is composed of two single-node moves — each a correct O(degree
-// + dependent region) transition of every sum, so their composition needs
-// no special handling of channels the two nodes share — then inverted in
-// reverse order. It counts as one evaluation, exactly like MoveCost. A
-// degenerate swap (a == b, or both on one component) is costed as a no-op.
+// exchange is composed of two single-node moves — each a correct
+// transition of every sum, so their composition needs no special handling
+// of channels the two nodes share — then inverted in reverse order. It
+// counts as one evaluation, exactly like MoveCost. A degenerate swap
+// (a == b, or both on one component) is costed as a no-op.
 func (d *DeltaEval) SwapCost(a, b *core.Node) (float64, error) {
 	if err := d.beginEval(); err != nil {
 		return 0, err
@@ -727,12 +763,12 @@ func (d *DeltaEval) Cost() (float64, error) {
 
 // costCandidate costs the current assignment vector from scratch: every
 // channel's bus re-derived by the policy, every Exectime recomputed
-// callee-first, every sum re-derived — O(graph), but pure array work with
-// zero allocations and no Partition access, which is what lets Random,
-// Exhaustive and ClusterGreedy cost thousands of whole candidate designs
-// per second. It counts one evaluation. The bound Partition is NOT
-// updated; callers own the assignment vector and materialize a Partition
-// only for the winner.
+// callee-first when a cost term reads one, every sum re-derived —
+// O(graph), but pure array work with zero allocations and no Partition
+// access, which is what lets Random, Exhaustive and ClusterGreedy cost
+// thousands of whole candidate designs per second. It counts one
+// evaluation. The bound Partition is NOT updated; callers own the
+// assignment vector and materialize a Partition only for the winner.
 func (d *DeltaEval) costCandidate() (float64, error) {
 	if err := d.beginEval(); err != nil {
 		return 0, err
@@ -740,9 +776,11 @@ func (d *DeltaEval) costCandidate() (float64, error) {
 	for ci := range d.asg.ChanBus {
 		d.asg.ChanBus[ci] = d.chanBus(int32(ci))
 	}
-	if err := d.incr.RecomputeAffected(d.deps.Order()); err != nil {
-		d.broken = true
-		return 0, err
+	if d.needEt {
+		if err := d.incr.RecomputeAffected(d.deps.Order()); err != nil {
+			d.broken = true
+			return 0, err
+		}
 	}
 	if err := d.refresh(); err != nil {
 		d.broken = true

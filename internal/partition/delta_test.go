@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -62,7 +63,23 @@ func deltaScenarios(t testing.TB) []deltaScenario {
 			estimate.Options{ClampBusBitrate: true, SharingFactor: 0.4}, single},
 		{"minmode", benchGraph(t, 6, 3), cons, DefaultWeights(), estimate.Options{Mode: estimate.Min}, single},
 		{"no-rate-weight", benchGraph(t, 6, 3), cons, Weights{Size: 1, Pins: 1, Time: 1, Comm: 0.1}, estimate.Options{}, single},
+		// No active term reads an Exectime in the next two, so the
+		// evaluator skips its Exectime upkeep; the tight software size
+		// keeps the size term live.
+		{"unconstrained", tightGraph(t, 8, 4), Constraints{}, DefaultWeights(), estimate.Options{}, single},
+		{"deadline-no-time-weight", tightGraph(t, 8, 4), Constraints{Deadline: cons.Deadline},
+			Weights{Size: 1, Pins: 1, Rate: 1, Comm: 0.1}, estimate.Options{}, single},
+		{"deadline-only", tightGraph(t, 8, 4), Constraints{Deadline: cons.Deadline}, DefaultWeights(), estimate.Options{}, single},
+		{"rate-only", tightGraph(t, 8, 4), Constraints{MaxBusRate: cons.MaxBusRate}, DefaultWeights(), estimate.Options{}, single},
 	}
+}
+
+// tightGraph is portedGraph with the software processor capped below the
+// all-software size, so the size term is non-zero for many mappings.
+func tightGraph(t testing.TB, nBeh, nVar int) *core.Graph {
+	g := portedGraph(t, nBeh, nVar)
+	g.ProcByName("cpu").SizeCon = 700
+	return g
 }
 
 // oracleCost is the full-recompute reference: policy applied to a clone,
@@ -257,6 +274,103 @@ func TestMoveCostZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("MoveCost allocates %v per op in steady state, want 0", allocs)
+	}
+}
+
+// TestAnnealLoopAllocsFlat pins Anneal's per-iteration allocations at
+// zero: a run of 2000 iterations allocates exactly what a run of 200
+// does, its setup and result.
+func TestAnnealLoopAllocsFlat(t *testing.T) {
+	g := tightGraph(t, 8, 4)
+	init := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+	all := Constraints{
+		Deadline:   map[string]float64{"b0": 25},
+		MaxBusRate: map[string]float64{"bus": 8},
+	}
+	for _, cons := range []Constraints{{}, all} {
+		for _, swap := range []float64{0, 0.3} {
+			ev := NewEvaluator(g, cons, DefaultWeights(), estimate.Options{})
+			allocs := func(iters int) float64 {
+				cfg := Config{Eval: ev, Policy: SingleBus(g.Buses[0]), Seed: 3, MaxIters: iters, SwapProb: swap}
+				return testing.AllocsPerRun(5, func() {
+					if _, err := Anneal(context.Background(), init, cfg); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			if short, long := allocs(200), allocs(2000); short != long {
+				t.Errorf("constrained %v, swap %v: Anneal allocates %v at 200 iterations but %v at 2000",
+					cons.Deadline != nil, swap, short, long)
+			}
+		}
+	}
+}
+
+// TestDeltaRebindRefreshesExectimes: a binding whose cost terms read no
+// Exectime lets them go stale across commits; a later Rebind that
+// activates a deadline must start from fresh values.
+func TestDeltaRebindRefreshesExectimes(t *testing.T) {
+	g := tightGraph(t, 8, 4)
+	cons := Constraints{Deadline: map[string]float64{"b0": 25}}
+	ev := NewEvaluator(g, cons, Weights{Size: 1, Pins: 1, Rate: 1, Comm: 0.1}, estimate.Options{})
+	policy := SingleBus(g.Buses[0])
+	pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+	d, err := ev.Delta(pt, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asic := g.ProcByName("asic")
+	for _, name := range []string{"b1", "b3", "b4"} {
+		if err := d.Apply(g.NodeByName(name), asic); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ev.W.Time = 1
+	if d, err = ev.Delta(pt, policy); err != nil {
+		t.Fatal(err)
+	}
+	oracle := NewEvaluator(g, cons, ev.W, estimate.Options{})
+	got, err := d.Cost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := oracleCost(t, oracle, pt, policy); want == 0 || math.Abs(got-want) > 1e-9 {
+		t.Fatalf("Cost after rebind = %.15g, oracle %.15g (want a live deadline term)", got, want)
+	}
+	for _, n := range g.Nodes {
+		for _, to := range Allowed(g, n) {
+			got, err := d.MoveCost(n, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trial := pt.Clone()
+			if err := trial.Assign(n, to); err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleCost(t, oracle, trial, policy); math.Abs(got-want) > 1e-9 {
+				t.Fatalf("MoveCost(%s→%s) after rebind = %.15g, oracle %.15g", n.Name, to.CompName(), got, want)
+			}
+		}
+	}
+}
+
+// TestCostCandidateRejectsMissingICT: a whole candidate that puts a node
+// on a component without an ict weight fails with the estimator's error
+// whether or not a cost term reads the node's Exectime.
+func TestCostCandidateRejectsMissingICT(t *testing.T) {
+	for _, cons := range []Constraints{{}, {Deadline: map[string]float64{"b0": 25}}} {
+		g := benchGraph(t, 6, 3)
+		delete(g.NodeByName("b2").ICT, "asic50")
+		d, err := NewEvaluator(g, cons, DefaultWeights(), estimate.Options{}).
+			Delta(core.AllToProcessor(g, g.Procs[0], g.Buses[0]), SingleBus(g.Buses[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ni, _ := d.deps.Index(g.NodeByName("b2"))
+		d.asg.NodeComp[ni] = d.compIdx[g.ProcByName("asic")]
+		if _, err := d.costCandidate(); err == nil || !strings.Contains(err.Error(), "ict weight") {
+			t.Errorf("deadline %v: costCandidate err %v, want one mentioning the ict weight", cons.Deadline != nil, err)
+		}
 	}
 }
 
