@@ -221,16 +221,16 @@ func exploreGraphs(b testing.TB) []struct {
 		subjects = append(subjects, struct {
 			name string
 			g    *core.Graph
-		}{fmt.Sprintf("syn-p%d", procs), synGraph(b, procs)})
+		}{fmt.Sprintf("syn-p%d", procs), synGraph(b, syngen.Config{Seed: 7, Processes: procs})})
 	}
 	return subjects
 }
 
 // synGraph builds a generated scaling subject with the standard two-way
 // allocation (cpu + custom asic on one bus).
-func synGraph(b testing.TB, procs int) *core.Graph {
+func synGraph(b testing.TB, cfg syngen.Config) *core.Graph {
 	b.Helper()
-	src := syngen.Generate(syngen.Config{Seed: 7, Processes: procs})
+	src := syngen.Generate(cfg)
 	g, err := builder.BuildVHDL(src, builder.Options{})
 	if err != nil {
 		b.Fatal(err)

@@ -4,15 +4,12 @@
 //	-formats  §5: SLIF-AG vs ADD(VT) vs CDFG node/edge counts (fuzzy)
 //	-n2       §5: n² partitioning-computation counts per format
 //	-explore  §5 claim: thousands of designs estimated per second
-//	-portfolio adaptive portfolio sweep: anytime curves, greedy comparison
 //	-buswidth bus-width sweep: exec time & I/O vs physical bus wires
 //	-granularity §2.2's knob: basic blocks as procedures
 //	-rebuild  incremental edit-aware rebuild vs full build
-//	-serve    daemon load test: N clients × M designs, mixed traffic
 //
-// With no mode flag, everything except -serve runs. -testdata points at
-// the directory holding the four example specifications (default
-// "testdata").
+// With no mode flag, every mode runs. -testdata points at the directory
+// holding the four example specifications (default "testdata").
 package main
 
 import (
@@ -47,22 +44,15 @@ func main() {
 	formats := flag.Bool("formats", false, "regenerate the format-size comparison")
 	n2 := flag.Bool("n2", false, "regenerate the n^2 computation-count comparison")
 	explore := flag.Bool("explore", false, "measure partitions estimated per second")
-	portfolio := flag.Bool("portfolio", false, "adaptive portfolio sweep: anytime curves and the never-worse-than-greedy gate")
 	jsonOut := flag.Bool("json", false, "also write the -explore measurements to BENCH_explore.json")
 	workers := flag.Int("workers", 0, "worker pool size for the parallel explore run (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the explore run; a cut-short run reports its partial best (0 = none)")
 	buswidth := flag.Bool("buswidth", false, "sweep bus widths on the fuzzy example")
 	gran := flag.Bool("granularity", false, "basic-block granularity comparison")
 	rebuild := flag.Bool("rebuild", false, "benchmark incremental rebuild against full build")
-	serveMode := flag.Bool("serve", false, "load-test the exploration daemon (specsynd) in-process")
-	clients := flag.Int("clients", 8, "concurrent clients for the -serve load test")
-	requests := flag.Int("requests", 40, "requests per client for the -serve load test")
-	chaos := flag.Bool("chaos", false, "run -serve against a fault-injecting store with tight admission, then crash and recover")
 	flag.Parse()
 
-	// -serve is opt-in only: a load test inside the run-everything default
-	// would double every CI lane's wall clock for no extra coverage.
-	all := !*fig4 && !*formats && !*n2 && !*explore && !*portfolio && !*buswidth && !*gran && !*rebuild && !*serveMode
+	all := !*fig4 && !*formats && !*n2 && !*explore && !*buswidth && !*gran && !*rebuild
 	if *fig4 || all {
 		runFig4(*dir)
 	}
@@ -72,14 +62,8 @@ func main() {
 	if *n2 || all {
 		runN2(*dir)
 	}
-	// The portfolio sweep self-gates (monotone curves, adaptive ≤ greedy)
-	// and its records ride along in the -explore JSON output.
-	var portRecords []portfolioRecord
-	if *portfolio || all || (*explore && *jsonOut) {
-		portRecords = runPortfolio(*dir, *workers)
-	}
 	if *explore || all {
-		runExplore(*dir, *workers, *timeout, *jsonOut, portRecords)
+		runExplore(*dir, *workers, *timeout, *jsonOut)
 	}
 	if *buswidth || all {
 		runBusWidth(*dir)
@@ -89,9 +73,6 @@ func main() {
 	}
 	if *rebuild || all {
 		runRebuild(*dir, *jsonOut)
-	}
-	if *serveMode {
-		runServe(*dir, *clients, *requests, *jsonOut, *chaos)
 	}
 }
 
@@ -299,130 +280,6 @@ func synGraph(cfg syngen.Config) *core.Graph {
 	return g
 }
 
-// portfolioRecord is one subject's row of the adaptive portfolio sweep,
-// committed under the "portfolio" key of BENCH_explore.json. Curve is the
-// anytime trajectory: the incumbent cost after every scheduling round.
-type portfolioRecord struct {
-	Example       string                 `json:"example"`
-	Nodes         int                    `json:"nodes"`
-	GreedyCost    float64                `json:"greedy_cost"`
-	PortfolioCost float64                `json:"portfolio_cost"`
-	Rounds        int                    `json:"rounds"`
-	LegsKilled    int                    `json:"legs_killed"`
-	LegsRespawned int                    `json:"legs_respawned"`
-	Evals         int                    `json:"evals"`
-	Workers       int                    `json:"workers"`
-	Curve         []partition.CurvePoint `json:"curve"`
-}
-
-// portfolioSubjects: the paper examples plus synthetic subjects up to a
-// thousand processes. syn-p1024 uses the lean generator shape (single
-// variable, no procedures/arrays) so the subject stresses search scale,
-// not statement-body size.
-func portfolioSubjects(dir string) []struct {
-	name string
-	g    *core.Graph
-} {
-	var subjects []struct {
-		name string
-		g    *core.Graph
-	}
-	for _, name := range examples {
-		subjects = append(subjects, struct {
-			name string
-			g    *core.Graph
-		}{name, loadEnv(dir, name).Graph})
-	}
-	for _, procs := range []int{32, 128} {
-		subjects = append(subjects, struct {
-			name string
-			g    *core.Graph
-		}{fmt.Sprintf("syn-p%d", procs), synGraph(syngen.Config{Seed: 7, Processes: procs})})
-	}
-	subjects = append(subjects, struct {
-		name string
-		g    *core.Graph
-	}{"syn-p1024", synGraph(syngen.Config{
-		Seed: 7, Processes: 1024, ProcsPer: -1, VarsPer: 1, ArraysPer: -1, StmtsPer: 2, SharedSigs: 1,
-	})})
-	return subjects
-}
-
-// tightenSoftware caps the software processor at 60% of the design's
-// all-software size, so the trivial everything-on-cpu partition violates
-// and the sweep's curves track a real hardware/software trade instead of
-// a flat zero.
-func tightenSoftware(g *core.Graph) {
-	pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
-	rep, err := estimate.New(g, pt, estimate.Options{}).Report()
-	if err != nil {
-		fatal(err)
-	}
-	for _, c := range rep.Comps {
-		if c.Name == g.Procs[0].Name && c.Size > 0 {
-			g.Procs[0].SizeCon = c.Size * 0.6
-		}
-	}
-}
-
-// runPortfolio sweeps the adaptive orchestrator over every subject and
-// self-gates the two properties CI relies on: the anytime curve is
-// monotone non-increasing, and the adaptive result never loses to the
-// canonical greedy construction (leg 0's first round IS that greedy run).
-func runPortfolio(dir string, workers int) []portfolioRecord {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	fmt.Printf("Adaptive portfolio sweep (best-cost-vs-evals anytime curves), %d workers\n", workers)
-	fmt.Println()
-	fmt.Printf("%-10s %6s %12s %13s %7s %7s %9s %7s %9s\n",
-		"", "nodes", "greedy cost", "portfolio", "rounds", "killed", "respawned", "evals", "ms")
-	var records []portfolioRecord
-	for _, sub := range portfolioSubjects(dir) {
-		name, g := sub.name, sub.g
-		tightenSoftware(g)
-		mkCfg := func() partition.Config {
-			ev := partition.NewEvaluator(g, partition.Constraints{}, partition.DefaultWeights(), estimate.Options{})
-			return partition.Config{Eval: ev, Policy: partition.SingleBus(g.Buses[0]), Seed: 42}
-		}
-		greedy, err := partition.Greedy(context.Background(), g, mkCfg())
-		if err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		res, err := partition.MultiStart(context.Background(), g, mkCfg(), partition.ParallelOptions{
-			Workers: workers, Legs: 6, Share: true,
-			RoundEvals: 256, MaxRounds: 5,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		dur := time.Since(start)
-		rep := res.Report
-		if res.Cost > greedy.Cost+1e-9 {
-			fatal(fmt.Errorf("%s: portfolio cost %v worse than greedy %v", name, res.Cost, greedy.Cost))
-		}
-		for i := 1; i < len(rep.Curve); i++ {
-			if rep.Curve[i].BestCost > rep.Curve[i-1].BestCost {
-				fatal(fmt.Errorf("%s: anytime curve not monotone at round %d (%v > %v)",
-					name, i, rep.Curve[i].BestCost, rep.Curve[i-1].BestCost))
-			}
-		}
-		records = append(records, portfolioRecord{
-			Example: name, Nodes: len(g.Nodes),
-			GreedyCost: greedy.Cost, PortfolioCost: res.Cost,
-			Rounds: rep.Rounds, LegsKilled: rep.LegsKilled, LegsRespawned: rep.LegsRespawned,
-			Evals: rep.Evals, Workers: workers, Curve: rep.Curve,
-		})
-		fmt.Printf("%-10s %6d %12.4f %13.4f %7d %7d %9d %7d %9.1f\n",
-			name, len(g.Nodes), greedy.Cost, res.Cost,
-			rep.Rounds, rep.LegsKilled, rep.LegsRespawned, rep.Evals,
-			float64(dur.Microseconds())/1000)
-	}
-	fmt.Println()
-	return records
-}
-
 // moveTrialStats measures the per-trial hot path of the snapshot engine on
 // one graph: the nanoseconds and heap allocations of a single incremental
 // move (steady state, past the refresh interval).
@@ -471,7 +328,7 @@ func moveTrialStats(g *core.Graph) (nsPerTrial, allocsPerOp float64) {
 // arrays, sequentially and sharded across the parallel engine's worker
 // pool. Both land bit-identically on the same best cost at the same seed;
 // only the throughput changes.
-func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool, portRecords []portfolioRecord) {
+func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -533,12 +390,11 @@ func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool, po
 	if jsonOut {
 		// The machine the numbers were measured on travels with them.
 		out := struct {
-			NProc      int               `json:"nproc"`
-			GoMaxProcs int               `json:"gomaxprocs"`
-			GoVersion  string            `json:"go_version"`
-			Throughput []exploreRecord   `json:"throughput"`
-			Portfolio  []portfolioRecord `json:"portfolio"`
-		}{runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), records, portRecords}
+			NProc      int             `json:"nproc"`
+			GoMaxProcs int             `json:"gomaxprocs"`
+			GoVersion  string          `json:"go_version"`
+			Throughput []exploreRecord `json:"throughput"`
+		}{runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), records}
 		data, err := json.MarshalIndent(out, "", "  ")
 		if err != nil {
 			fatal(err)

@@ -16,6 +16,7 @@ import (
 	"specsyn/internal/core"
 	"specsyn/internal/estimate"
 	"specsyn/internal/partition"
+	"specsyn/internal/syngen"
 )
 
 // deltaSubjectConstraints activates every cost term: a deadline on the
@@ -137,24 +138,23 @@ func TestDeltaDifferentialExamples(t *testing.T) {
 	}
 }
 
-// moveBenchGraph resolves a move-benchmark subject name: the paper
-// examples by name, or "syn-pN" for a generated specification with N
-// processes.
-func moveBenchGraph(b *testing.B, name string) *core.Graph {
-	b.Helper()
+// subjectGraph resolves a test subject name: the paper examples by name,
+// or "syn-pN" for a generated specification with N processes.
+func subjectGraph(tb testing.TB, name string) *core.Graph {
+	tb.Helper()
 	var procs int
 	if n, err := fmt.Sscanf(name, "syn-p%d", &procs); n == 1 && err == nil {
-		return synGraph(b, procs)
+		return synGraph(tb, syngen.Config{Seed: 7, Processes: procs})
 	}
-	return loadEnv(b, name).Graph
+	return loadEnv(tb, name).Graph
 }
 
 // moveBenchSetup binds a delta evaluator to an example, with every cost
 // term active or with no constraints, and precomputes a rotation of
 // (node, destination) moves so the benchmark loop measures only MoveCost.
-func moveBenchSetup(b *testing.B, name string, constrained bool) (*partition.DeltaEval, []*core.Node, []core.Component) {
-	b.Helper()
-	g := moveBenchGraph(b, name)
+func moveBenchSetup(tb testing.TB, name string, constrained bool) (*partition.DeltaEval, []*core.Node, []core.Component) {
+	tb.Helper()
+	g := subjectGraph(tb, name)
 	cons := partition.Constraints{}
 	if constrained {
 		cons = deltaSubjectConstraints(g)
@@ -163,7 +163,7 @@ func moveBenchSetup(b *testing.B, name string, constrained bool) (*partition.Del
 	pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
 	d, err := ev.Delta(pt, partition.SingleBus(g.Buses[0]))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var nodes []*core.Node
 	var dests []core.Component
@@ -177,9 +177,34 @@ func moveBenchSetup(b *testing.B, name string, constrained bool) (*partition.Del
 		}
 	}
 	if len(nodes) == 0 {
-		b.Fatal("no movable nodes")
+		tb.Fatal("no movable nodes")
 	}
 	return d, nodes, dests
+}
+
+// moveCostSubjects are BenchmarkSnapshotMoveCost's subjects.
+var moveCostSubjects = []string{"ans", "ether", "syn-p8", "syn-p32", "syn-p128"}
+
+// TestSnapshotMoveCostZeroAllocs runs the BenchmarkSnapshotMoveCost trial
+// on every subject, with every cost term active and with none, and
+// requires zero heap allocations per steady-state move trial.
+func TestSnapshotMoveCostZeroAllocs(t *testing.T) {
+	for _, constrained := range []bool{true, false} {
+		for _, name := range moveCostSubjects {
+			d, nodes, dests := moveBenchSetup(t, name, constrained)
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() {
+				k := i % len(nodes)
+				i++
+				if _, err := d.MoveCost(nodes[k], dests[k]); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s (constrained %t): %v allocs per move trial, want 0", name, constrained, allocs)
+			}
+		}
+	}
 }
 
 // BenchmarkSnapshotMoveCost measures one incremental move trial — the
@@ -187,11 +212,10 @@ func moveBenchSetup(b *testing.B, name string, constrained bool) (*partition.Del
 // snapshot, touching no Partition maps and no pointers. The subjects
 // extend up the size axis (syn-p128 ≈ an order of magnitude past ether).
 // Each runs with every cost term active and, under unconstrained/, with
-// none, where a trial skips the Exectime upkeep. CI runs it with
-// -benchmem and fails on a non-zero steady-state allocation rate, and
-// holds it well under BenchmarkFullCost.
+// none, where a trial skips the Exectime upkeep.
+// TestSnapshotMoveCostZeroAllocs holds every row at zero steady-state
+// allocations, and CI holds it well under BenchmarkFullCost.
 func BenchmarkSnapshotMoveCost(b *testing.B) {
-	subjects := []string{"ans", "ether", "syn-p8", "syn-p32", "syn-p128"}
 	run := func(name string, constrained bool) func(*testing.B) {
 		return func(b *testing.B) {
 			d, nodes, dests := moveBenchSetup(b, name, constrained)
@@ -206,11 +230,11 @@ func BenchmarkSnapshotMoveCost(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "designs/s")
 		}
 	}
-	for _, name := range subjects {
+	for _, name := range moveCostSubjects {
 		b.Run(name, run(name, true))
 	}
 	b.Run("unconstrained", func(b *testing.B) {
-		for _, name := range subjects {
+		for _, name := range moveCostSubjects {
 			b.Run(name, run(name, false))
 		}
 	})

@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -272,7 +273,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	case status >= 400:
 		s.metrics.clientErr.Add(1)
 	}
-	writeJSON(w, status, errorBody{Error: err.Error()})
+	s.writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
 // retryAfterSecs renders the configured backoff as whole seconds (the
@@ -285,12 +286,20 @@ func (s *Server) retryAfterSecs() string {
 	return strconv.Itoa(secs)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeJSON encodes v before the status line goes out, so a value JSON
+// cannot carry (a NaN or infinite estimate) becomes a counted 500 instead
+// of a 2xx with an empty body.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		s.writeError(w, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing left to report
+	w.Write(buf.Bytes())
 }
 
 func readJSON(r *http.Request, v any) error {
@@ -447,7 +456,7 @@ func (s *Server) handleBuild(w http.ResponseWriter, r *http.Request) {
 	// recovery then skip the front end entirely.
 	s.checkpoint(sess)
 	st := env.Graph.Stats()
-	writeJSON(w, http.StatusOK, BuildResponse{
+	s.writeJSON(w, http.StatusOK, BuildResponse{
 		ID: id, BV: st.BV, Channels: st.Channels,
 		Procs: len(env.Graph.Procs), Buses: len(env.Graph.Buses),
 		BuildMs: float64(env.BuildTime.Microseconds()) / 1000,
@@ -516,7 +525,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.builds.Add(1)
 	s.maybeCheckpoint(sess)
-	writeJSON(w, http.StatusOK, ReloadResponse{
+	s.writeJSON(w, http.StatusOK, ReloadResponse{
 		ID: sess.id, Empty: delta.Empty(), Full: delta.Full, Reason: delta.Reason,
 		Changed: delta.Changed, Dependents: delta.Dependents,
 		BuildMs: float64(buildTime.Microseconds()) / 1000,
@@ -590,7 +599,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.evals.Add(1)
-	writeJSON(w, http.StatusOK, EstimateResponse{
+	s.writeJSON(w, http.StatusOK, EstimateResponse{
 		ID: sess.id, Report: rep,
 		EstimateMs: float64(dur.Microseconds()) / 1000,
 	})
@@ -651,7 +660,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			errors.New("search stopped before evaluating any partition (deadline or budget too tight)"))
 		return
 	}
-	writeJSON(w, http.StatusOK, SearchResponse{
+	s.writeJSON(w, http.StatusOK, SearchResponse{
 		ID: sess.id, Algo: req.Algo, Cost: res.Cost, Evals: res.Evals,
 		Partial: res.Partial, Assignment: assignment(&env, res.Best),
 		SearchMs: float64(time.Since(start).Microseconds()) / 1000,
@@ -755,7 +764,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			errors.New("explore stopped before evaluating any partition (deadline or budget too tight)"))
 		return
 	}
-	writeJSON(w, http.StatusOK, ExploreResponse{
+	s.writeJSON(w, http.StatusOK, ExploreResponse{
 		ID: sess.id, Algo: req.Algo, Cost: res.Cost, Evals: res.Report.Evals,
 		Partial: res.Report.Partial, BestLeg: res.BestLeg,
 		LegsPlanned: res.Report.LegsPlanned, LegsCompleted: res.Report.LegsCompleted,
@@ -802,7 +811,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 			Created: sess.created, QueueDepth: sess.pending.Load(),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -817,9 +826,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if inStore {
 		s.journalDelete(id)
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
+	s.writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+	s.writeJSON(w, http.StatusOK, s.Stats())
 }

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"specsyn/internal/faultinject"
+	"specsyn/internal/store"
 	"specsyn/internal/vhdl"
 )
 
@@ -265,6 +267,42 @@ func TestServerDeepNesting(t *testing.T) {
 	buildDesign(t, ts, "fuzzy", "fuzzy")
 }
 
+// TestServerNonFiniteEstimate: 34 nested two-billion-trip loops build
+// fine, but the process's execution time overflows to +Inf and the bus
+// bitrate to NaN, which JSON cannot carry. The estimate must not answer
+// 2xx with an undecodable body; it is a counted server failure.
+func TestServerNonFiniteEstimate(t *testing.T) {
+	const depth = 34
+	var b strings.Builder
+	b.WriteString("entity E is end;\narchitecture x of E is begin\nP: process\nvariable v : integer;\nbegin\n")
+	for i := 0; i < depth; i++ {
+		fmt.Fprintf(&b, "for i%d in 1 to 2000000000 loop\n", i)
+	}
+	b.WriteString("v := v + 1;\n")
+	b.WriteString(strings.Repeat("end loop;\n", depth))
+	b.WriteString("wait;\nend process;\nend;\n")
+
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/designs/deep/build", BuildRequest{VHDL: b.String()}, nil); code != http.StatusOK {
+		t.Fatalf("build: status %d", code)
+	}
+	before := s0(ts, t).Failures
+	resp, err := ts.Client().Post(ts.URL+"/v1/designs/deep/estimate", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode/100 == 2 && !json.Valid(body) {
+		t.Fatalf("estimate: status %d with undecodable body %q", resp.StatusCode, body)
+	}
+	if after := s0(ts, t).Failures; after <= before {
+		t.Errorf("estimate of a non-finite report: status %d, failures %d -> %d, want a counted failure",
+			resp.StatusCode, before, after)
+	}
+}
+
 // TestServerExploreBounds: explore bodies whose leg or round count would
 // make the daemon allocate without bound get a quick 400 that names the
 // limits, and the daemon keeps serving. Legs default to workers, so a
@@ -437,57 +475,165 @@ func TestServerHealthz(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentMixedTraffic hammers one server with concurrent
-// builds, estimates, searches and reloads across two designs — the
-// daemon-shaped smoke test. Run under -race this doubles as the session
-// locking proof at the HTTP layer.
-func TestServerConcurrentMixedTraffic(t *testing.T) {
-	ts := httptest.NewServer(New(Config{SessionSlots: 4, SessionQueue: 64}))
-	defer ts.Close()
-	c := ts.Client()
-	buildDesign(t, ts, "fuzzy", "fuzzy")
-	buildDesign(t, ts, "vol", "vol")
-	fuzzySrc, _ := readExample(t, "fuzzy")
-	volSrc, _ := readExample(t, "vol")
-	edited := map[string]string{"fuzzy": insertNull(t, fuzzySrc), "vol": insertNull(t, volSrc)}
-	orig := map[string]string{"fuzzy": fuzzySrc, "vol": volSrc}
+// postRetry posts in and drains the answer, retrying a load-shed 503 with
+// bounded exponential backoff. The wait stays below the server's
+// one-second Retry-After hint so a shedding run stays short. It reports
+// errors rather than failing the test, so client goroutines can call it.
+func postRetry(client *http.Client, url string, in any) (int, error) {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return 0, err
+	}
+	backoff := 10 * time.Millisecond
+	for attempt := 0; ; attempt++ {
+		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || attempt == 8 {
+			return resp.StatusCode, nil
+		}
+		time.Sleep(backoff)
+		backoff = min(2*backoff, 200*time.Millisecond)
+	}
+}
 
-	const clients = 6
-	errc := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		go func(i int) {
-			ids := []string{"fuzzy", "vol"}
-			id := ids[i%2]
-			for j := 0; j < 6; j++ {
-				var code int
-				switch j % 3 {
-				case 0:
-					code = postJSON(t, c, ts.URL+"/v1/designs/"+id+"/estimate", EstimateRequest{}, nil)
-				case 1:
-					code = postJSON(t, c, ts.URL+"/v1/designs/"+id+"/search",
-						SearchRequest{Algo: "greedy", Seed: int64(i*10 + j)}, nil)
-				case 2:
-					src := edited[id]
-					if j%2 == 0 {
-						src = orig[id]
-					}
-					code = postJSON(t, c, ts.URL+"/v1/designs/"+id+"/reload", ReloadRequest{VHDL: src}, nil)
+// TestServerConcurrentMixedTraffic hammers one server with concurrent
+// clients round-robining over three designs with a mixed stream: half
+// estimates, then greedy searches, a multi-leg explore, and reloads that
+// alternate between an edited and the original source, so a reload is a
+// real incremental rebuild under reader pressure. Every request must
+// answer 200 and the server must count no failure and no panic. Run under
+// -race this doubles as the session locking proof at the HTTP layer.
+//
+// The chaos case runs the same load against a durable store on a
+// misbehaving disk (a torn write, then every 9th write failing, a failed
+// sync, a stall every 5th I/O) with one slot and a one-deep queue per
+// session, so colliding clients are shed and must retry. It then crashes
+// the server by abandoning the store unclosed, recovers a new server from
+// the directory, and requires every recovered session to estimate.
+func TestServerConcurrentMixedTraffic(t *testing.T) {
+	designs := []string{"ans", "fuzzy", "vol"}
+	for _, tc := range []struct {
+		name              string
+		clients, requests int
+		chaos             bool
+	}{
+		{"mixed", 8, 20, false},
+		{"chaos", 6, 15, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				MaxSessions:  16,
+				SessionSlots: tc.clients,
+				SessionQueue: 4 * tc.clients,
+				MaxEvals:     200_000,
+			}
+			var dir string
+			if tc.chaos {
+				dir = t.TempDir()
+				cfs := faultinject.NewChaosFS(nil, faultinject.FSPlan{
+					TornWriteAt: 6,
+					FailWriteAt: 9, EveryWrite: 9,
+					FailSyncAt: 7,
+					Delay:      200 * time.Microsecond, DelayEvery: 5,
+				})
+				st, _, err := store.Open(dir, cfs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if code != http.StatusOK {
-					errc <- fmt.Errorf("client %d op %d on %s: status %d", i, j, id, code)
-					return
+				cfg.Store, cfg.CheckpointEvery = st, 2
+				cfg.SessionSlots, cfg.SessionQueue = 1, 1
+			}
+			ts := httptest.NewServer(New(cfg))
+			defer ts.Close()
+			c := ts.Client()
+
+			orig := make(map[string]string, len(designs))
+			edited := make(map[string]string, len(designs))
+			for _, name := range designs {
+				src, prob := readExample(t, name)
+				req := BuildRequest{VHDL: src, Profile: prob}
+				if name == "fuzzy" {
+					ov, err := os.ReadFile(filepath.Join(testdata, "fuzzy.ov"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Overrides = string(ov)
+				}
+				if code, err := postRetry(c, ts.URL+"/v1/designs/"+name+"/build", req); err != nil || code != http.StatusOK {
+					t.Fatalf("build %s: status %d, err %v", name, code, err)
+				}
+				orig[name], edited[name] = src, insertNull(t, src)
+			}
+
+			errc := make(chan error, tc.clients)
+			for i := 0; i < tc.clients; i++ {
+				go func(i int) {
+					for j := 0; j < tc.requests; j++ {
+						id := designs[(i+j)%len(designs)]
+						url := ts.URL + "/v1/designs/" + id
+						seed := int64(i*1000 + j)
+						var in any
+						switch j % 10 {
+						case 0, 1, 2, 3, 4:
+							url, in = url+"/estimate", EstimateRequest{}
+						case 5, 6:
+							url, in = url+"/search", SearchRequest{Algo: "greedy", Seed: seed}
+						case 7:
+							url, in = url+"/explore", ExploreRequest{Algo: "multi", Legs: 4, Seed: seed, MaxEvals: 4000}
+						default:
+							src := edited[id]
+							if j%4 == 1 {
+								src = orig[id]
+							}
+							url, in = url+"/reload", ReloadRequest{VHDL: src}
+						}
+						if code, err := postRetry(c, url, in); err != nil || code != http.StatusOK {
+							errc <- fmt.Errorf("client %d op %d (%s): status %d, err %v", i, j, url, code, err)
+							return
+						}
+					}
+					errc <- nil
+				}(i)
+			}
+			for i := 0; i < tc.clients; i++ {
+				if err := <-errc; err != nil {
+					t.Error(err)
 				}
 			}
-			errc <- nil
-		}(i)
-	}
-	for i := 0; i < clients; i++ {
-		if err := <-errc; err != nil {
-			t.Error(err)
-		}
-	}
-	if st := s0(ts, t); st.Failures != 0 || st.Panics != 0 || st.Rejects != 0 {
-		t.Errorf("mixed traffic left failures: %+v", st)
+			st := s0(ts, t)
+			t.Logf("%d requests: %d evals, %d shed, %d store errors, %d checkpoints",
+				tc.clients*tc.requests, st.Evals, st.Rejects, st.StoreErrors, st.Checkpoints)
+			if st.Failures != 0 || st.Panics != 0 || (!tc.chaos && st.Rejects != 0) {
+				t.Errorf("mixed traffic left failures: %+v", st)
+			}
+			if !tc.chaos {
+				return
+			}
+
+			// Crash: no drain, no flush; the first store is never closed.
+			ts.Close()
+			st2 := openStore(t, dir, nil)
+			srv2 := New(Config{MaxSessions: 16, MaxEvals: 200_000, Store: st2})
+			rep := srv2.Recover(t.Logf)
+			if rep.Failed != 0 || rep.Sessions == 0 {
+				t.Fatalf("recover report = %+v, want sessions and no failure", rep)
+			}
+			t.Logf("recovered %+v", rep)
+			ts2 := httptest.NewServer(srv2)
+			defer ts2.Close()
+			for _, id := range st2.Sessions() {
+				if code, err := postRetry(ts2.Client(), ts2.URL+"/v1/designs/"+id+"/estimate", EstimateRequest{}); err != nil || code != http.StatusOK {
+					t.Errorf("recovered session %s: estimate status %d, err %v", id, code, err)
+				}
+			}
+			if st := s0(ts2, t); st.Failures != 0 || st.Panics != 0 {
+				t.Errorf("recovered server left failures: %+v", st)
+			}
+		})
 	}
 }
 

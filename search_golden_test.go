@@ -66,21 +66,20 @@ var searchGolden = map[string]string{
 // to make rather than stopping at cost 0.
 func searchGoldenSubject(t *testing.T, name string) *core.Graph {
 	t.Helper()
-	var g *core.Graph
-	if name == "ether" {
-		g = loadEnv(t, name).Graph
-	} else {
-		var procs int
-		fmt.Sscanf(name, "syn-p%d", &procs)
-		g = synGraph(t, procs)
-	}
+	g := subjectGraph(t, name)
+	capSoftware(t, g)
+	return g
+}
+
+// capSoftware caps g's software processor at 60% of its all-software size.
+func capSoftware(t *testing.T, g *core.Graph) {
+	t.Helper()
 	cpu := g.Procs[0]
 	size, err := estimate.New(g, core.AllToProcessor(g, cpu, g.Buses[0]), estimate.Options{}).Size(cpu)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cpu.SizeCon = 0.6 * size
-	return g
 }
 
 // mappingPrint fingerprints a partition's node and channel mapping.
