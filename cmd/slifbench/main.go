@@ -44,7 +44,7 @@ func main() {
 	formats := flag.Bool("formats", false, "regenerate the format-size comparison")
 	n2 := flag.Bool("n2", false, "regenerate the n^2 computation-count comparison")
 	explore := flag.Bool("explore", false, "measure partitions estimated per second")
-	jsonOut := flag.Bool("json", false, "also write the -explore measurements to BENCH_explore.json")
+	jsonOut := flag.Bool("json", false, "also write the -explore and -rebuild measurements to BENCH_explore.json and BENCH_build.json")
 	workers := flag.Int("workers", 0, "worker pool size for the parallel explore run (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the explore run; a cut-short run reports its partial best (0 = none)")
 	buswidth := flag.Bool("buswidth", false, "sweep bus widths on the fuzzy example")
@@ -388,22 +388,35 @@ func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool) {
 	}
 	fmt.Println()
 	if jsonOut {
-		// The machine the numbers were measured on travels with them.
-		out := struct {
-			NProc      int             `json:"nproc"`
-			GoMaxProcs int             `json:"gomaxprocs"`
-			GoVersion  string          `json:"go_version"`
+		writeBench("BENCH_explore.json", struct {
+			machine
 			Throughput []exploreRecord `json:"throughput"`
-		}{runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), records}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile("BENCH_explore.json", append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote BENCH_explore.json")
+		}{thisMachine(), records})
 	}
+}
+
+// machine records the host a bench file was measured on; it travels with
+// the numbers.
+type machine struct {
+	NProc      int    `json:"nproc"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+}
+
+func thisMachine() machine {
+	return machine{runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version()}
+}
+
+// writeBench writes v as indented JSON to file.
+func writeBench(file string, v any) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		fatal(err)
+	}
+	if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
+		fatal(err)
+	}
+	fmt.Println("wrote", file)
 }
 
 // runBusWidth sweeps the physical bus width for a fixed hardware/software
@@ -550,8 +563,9 @@ func rebuildSubjects(dir string, visit func(rebuildSubject)) {
 }
 
 // runRebuild measures the incremental-rebuild claim: after a one-behavior
-// edit (a null statement inserted into the first process), Rebuild patches
-// the previous graph copy-on-write instead of reconstructing it, so the
+// edit (a null statement inserted into the first process), Rebuild
+// re-extracts only the affected behaviors and shares the rest of the
+// previous graph instead of reconstructing it, so the
 // edit-to-graph latency drops well below a full parse/elaborate/build. A
 // unique trailing comment per iteration defeats the front-end cache on the
 // edited source, so every trial pays the real parse cost; the previous
@@ -621,14 +635,10 @@ func runRebuild(dir string, jsonOut bool) {
 	})
 	fmt.Println()
 	if jsonOut {
-		data, err := json.MarshalIndent(records, "", "  ")
-		if err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile("BENCH_build.json", append(data, '\n'), 0o644); err != nil {
-			fatal(err)
-		}
-		fmt.Println("wrote BENCH_build.json")
+		writeBench("BENCH_build.json", struct {
+			machine
+			Rebuild []rebuildRecord `json:"rebuild"`
+		}{thisMachine(), records})
 	}
 }
 

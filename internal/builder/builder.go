@@ -5,9 +5,9 @@
 // concurrency tags — is computed here, once, so that estimating a candidate
 // partition later is a matter of table lookups and sums.
 //
-// The construction runs as an explicit pass graph over the elaborated
-// design, each pass owning one annotation family and declaring the passes
-// whose outputs it reads:
+// The construction runs as an explicit pass pipeline over the elaborated
+// design, each pass owning one annotation family and running after every
+// pass whose outputs it reads:
 //
 //  1. extract      — behavior/variable nodes and entity ports (BV, IO)
 //  2. frequencies  — channels with profile-weighted accfreq/accmin/accmax
@@ -16,12 +16,11 @@
 //  5. overrides    — designer weight overrides (the -ov file)
 //  6. validate     — Graph.Validate on the finished SLIF
 //
-// Passes run in dependency order and each is independently testable; a
-// pass failure aborts the build with the pass named in the error. Every
-// pass whose work is per-behavior exposes its loop body as a separate
-// function (behaviorChannels, wireChannel, tagChannels, behaviorWeights,
-// ...), which Rebuild invokes for just the edited slice of the design —
-// see rebuild.go.
+// Each pass is independently testable; a pass failure aborts the build
+// with the pass named in the error. Every pass whose work is per-behavior
+// exposes its loop body as a separate function (behaviorChannels,
+// wireChannel, tagChannels, behaviorWeights, ...), which Rebuild invokes
+// for just the edited slice of the design — see rebuild.go.
 package builder
 
 import (
@@ -66,47 +65,28 @@ type state struct {
 	g       *core.Graph
 	chanSym map[*core.Channel]*sem.Symbol // channel → resolved destination
 
-	// res, when non-nil, maps node names to the endpoint struct a rebuild
-	// has decided on, shadowing g's (possibly mid-surgery) indexes. It lets
-	// the per-behavior pass bodies resolve destinations to fresh replacement
-	// nodes before the copy-on-write graph's indexes are repaired.
-	res map[string]core.Endpoint
+	// res holds the fresh nodes of a rebuild's affected behaviors, by
+	// name. While they are re-extracted, g is the previous graph, whose
+	// indexes still point at the nodes they replace; destinations resolve
+	// through res first (see state.node). Nil in a full build.
+	res map[string]*core.Node
 }
 
-// pass is one node of the build's pass graph.
+// pass is one stage of the build's pass pipeline.
 type pass struct {
 	name string
 	run  func(*state) error
-	// needs names the passes whose outputs this pass reads. The pipeline
-	// order must respect it (checked once at init), and Rebuild relies on
-	// it: a per-behavior re-run replays the bodies of every pass
-	// downstream of the first invalidated one, in this order.
-	needs []string
 }
 
-// pipeline is the pass graph in execution order. Each pass owns the
+// pipeline lists the passes in execution order. Each pass owns the
 // annotations its name suggests; see the package comment.
 var pipeline = []pass{
 	{name: "extract", run: passExtract},
-	{name: "frequencies", run: passFrequencies, needs: []string{"extract"}},
-	{name: "channelwires", run: passChannelWires, needs: []string{"frequencies"}},
-	{name: "weights", run: passWeights, needs: []string{"extract"}},
-	{name: "overrides", run: passOverrides, needs: []string{"weights"}},
-	{name: "validate", run: passValidate, needs: []string{"frequencies", "channelwires", "weights", "overrides"}},
-}
-
-func init() {
-	// The pass graph is data, so a reordering that breaks a declared
-	// dependency is a programming error worth failing fast on.
-	done := map[string]bool{}
-	for _, p := range pipeline {
-		for _, n := range p.needs {
-			if !done[n] {
-				panic(fmt.Sprintf("builder: pass %s runs before its input %s", p.name, n))
-			}
-		}
-		done[p.name] = true
-	}
+	{name: "frequencies", run: passFrequencies},
+	{name: "channelwires", run: passChannelWires},
+	{name: "weights", run: passWeights},
+	{name: "overrides", run: passOverrides},
+	{name: "validate", run: passValidate},
 }
 
 // Build constructs the annotated SLIF graph of an elaborated design.

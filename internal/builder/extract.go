@@ -87,27 +87,12 @@ func objErr(o *sem.Object, err error) error {
 	return fmt.Errorf("%s: in declaration of %s: %w", o.Pos, o.Name, err)
 }
 
-// endpoint resolves an access target symbol to its graph endpoint. A
-// rebuild's resolver overlay (state.res) wins over the graph indexes, which
-// during copy-on-write surgery still point at the replaced structs.
+// endpoint resolves an access target symbol to its graph endpoint. Nodes
+// resolve through node, so a rebuild's fresh nodes win over the graph's.
 func (s *state) endpoint(sym *sem.Symbol) (core.Endpoint, error) {
-	if s.res != nil {
-		var name string
-		switch sym.Kind {
-		case sem.SymObject:
-			name = sym.Object.UniqueID
-		case sem.SymPort:
-			name = sym.Port.Name
-		case sem.SymBehavior:
-			name = sym.Behavior.UniqueID
-		}
-		if ep, ok := s.res[name]; ok {
-			return ep, nil
-		}
-	}
 	switch sym.Kind {
 	case sem.SymObject:
-		if n := s.g.NodeByName(sym.Object.UniqueID); n != nil {
+		if n := s.node(sym.Object.UniqueID); n != nil {
 			return n, nil
 		}
 	case sem.SymPort:
@@ -115,9 +100,18 @@ func (s *state) endpoint(sym *sem.Symbol) (core.Endpoint, error) {
 			return p, nil
 		}
 	case sem.SymBehavior:
-		if n := s.g.NodeByName(sym.Behavior.UniqueID); n != nil {
+		if n := s.node(sym.Behavior.UniqueID); n != nil {
 			return n, nil
 		}
 	}
 	return nil, fmt.Errorf("access target %q has no graph endpoint", sym.Name)
+}
+
+// node looks a node up by name: in a rebuild's fresh nodes (state.res)
+// first, then in the graph's index.
+func (s *state) node(name string) *core.Node {
+	if n := s.res[name]; n != nil {
+		return n
+	}
+	return s.g.NodeByName(name)
 }

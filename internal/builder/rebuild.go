@@ -5,16 +5,19 @@
 // instead diffs the previous and new sources at design-unit granularity via
 // AST content fingerprints (internal/vhdl.Fingerprint), re-runs the
 // per-behavior pass bodies for just the changed units and their dependents,
-// and patches the previous graph copy-on-write. The previous graph is never
-// mutated — concurrent readers (estimators, partition searches) keep a
-// consistent view — and the result is byte-identical, in compiled snapshot
-// form, to a from-scratch Build of the new source.
+// and assembles a new graph that shares every other node, port and channel
+// with the previous one. The previous graph is never written — concurrent
+// readers (estimators, partition searches) keep a consistent view — and
+// the result is byte-identical, in compiled snapshot form, to a
+// from-scratch Build of the new source.
 //
 // Anything the unit diff cannot localize falls back to a full Build with
 // the reason recorded in the Delta: a change to the architecture context
 // (ports, arch-level declarations), any change to the unit or object
 // sequence (add/remove/rename/reorder, signature or type edits, implicit
-// symbols appearing or vanishing), or ambiguous duplicate unit paths.
+// symbols appearing or vanishing), ambiguous duplicate unit paths, or a
+// previous graph whose nodes are not laid out as Build lays them out (an
+// in-place transform edited it).
 
 package builder
 
@@ -130,8 +133,9 @@ func Frontend(src string) (*vhdl.DesignFile, *sem.Design, error) {
 //
 //   - no semantic change: prev itself is returned (pointer-equal), Delta
 //     empty;
-//   - localized edit: a copy-on-write patch of prev with only the changed
-//     behaviors and their dependents re-extracted; prev is not mutated;
+//   - localized edit: a new graph with only the changed behaviors and
+//     their dependents re-extracted, sharing every other struct with prev;
+//     prev is not mutated;
 //   - anything else: a from-scratch Build, Delta.Full set with the reason.
 //
 // In every case the result is byte-identical (core.Compile + MarshalBinary)
@@ -164,6 +168,9 @@ func Rebuild(prev *core.Graph, prevSrc, newSrc string, opts Options) (*core.Grap
 	}
 	if len(changed) == 0 {
 		return prev, Delta{}, nil
+	}
+	if !builderForm(prev, newFE.d) {
+		return rebuildFull(prev, newFE, opts, "previous graph not in builder form")
 	}
 	affectedPath := func(path string) bool {
 		if changed[path] {
@@ -229,92 +236,96 @@ func Rebuild(prev *core.Graph, prevSrc, newSrc string, opts Options) (*core.Grap
 	sort.Strings(delta.Changed)
 	sort.Strings(delta.Dependents)
 
-	g, err := patch(prev, newFE, opts, affected)
+	g, err := patch(prev, newFE.d, opts, affected)
 	if err != nil {
 		return nil, Delta{}, err
-	}
-	if g == nil { // surgery refused (non-builder-shaped prev): rebuild
-		return rebuildFull(prev, newFE, opts, "previous graph not in builder form")
 	}
 	return g, delta, nil
 }
 
-// patch replays the per-behavior pass bodies for the affected behaviors on
-// a copy-on-write copy of prev. It returns (nil, nil) if prev's channel
-// layout refuses the splice — the caller then falls back to a full build.
-func patch(prev *core.Graph, fe *frontEnd, opts Options, affected map[string]*sem.Behavior) (*core.Graph, error) {
-	s := newBuildState(fe.d, opts)
+// patch assembles a new graph laid out the way Build lays it out — ports,
+// behavior nodes, variable nodes, then one channel block per behavior, all
+// in design order — re-running the per-behavior pass bodies (frequencies,
+// wires, tags, weights) for the affected behaviors only. Their nodes and
+// channels are fresh; every other port, node and channel block is prev's
+// own struct, shared and only read. Only the new slices and the maps of
+// one Reindex are written, so prev stays intact for concurrent readers.
+// prev must be in builder form (see builderForm).
+func patch(prev *core.Graph, d *sem.Design, opts Options, affected map[string]*sem.Behavior) (*core.Graph, error) {
+	s := newBuildState(d, opts)
 	if err := s.validateTechs(); err != nil {
 		return nil, fmt.Errorf("builder: pass weights: %w", err)
 	}
-
-	// Swap fresh nodes in for every affected behavior, then point the
-	// resolver overlay at them so destination resolution during the replay
-	// never sees the stale index entries.
-	cow := prev.ShallowClone()
-	fresh := make(map[string]*core.Node, len(affected))
+	// Destinations resolve to the fresh nodes first, then through prev's
+	// indexes to the structs the new graph shares with it.
+	s.g = prev
+	s.res = make(map[string]*core.Node, len(affected))
 	for id, b := range affected {
-		fresh[id] = extractBehavior(b)
-	}
-	for i, n := range cow.Nodes {
-		if f := fresh[n.Name]; f != nil {
-			cow.Nodes[i] = f
-		}
-	}
-	s.g = cow
-	s.res = make(map[string]core.Endpoint, len(fresh))
-	for id, n := range fresh {
-		s.res[id] = n
+		s.res[id] = extractBehavior(b)
 	}
 
-	// Replay frequencies → wires → tags → weights for each affected
-	// behavior in design order, splicing each rebuilt channel block in at
-	// the old block's position. Old and new destinations are collected for
-	// the one index repair at the end.
-	reindex := make(map[string]bool, 2*len(affected))
-	for id := range affected {
-		reindex[id] = true
+	g := &core.Graph{
+		Name:     d.Name,
+		Nodes:    make([]*core.Node, 0, len(prev.Nodes)),
+		Ports:    append([]*core.Port(nil), prev.Ports...),
+		Channels: make([]*core.Channel, 0, len(prev.Channels)),
 	}
-	for _, b := range fe.d.Behaviors {
-		id := b.UniqueID
-		if affected[id] == nil {
+	for i, b := range d.Behaviors {
+		n := s.res[b.UniqueID]
+		if n == nil {
+			n = prev.Nodes[i]
+			g.Nodes = append(g.Nodes, n)
+			g.Channels = append(g.Channels, prev.BehChans(n)...)
 			continue
 		}
-		if old := prev.NodeByName(id); old != nil {
-			for _, c := range prev.BehChans(old) {
-				reindex[c.Dst.EndpointName()] = true
-			}
-		}
-		chans, err := s.behaviorChannels(b, fresh[id])
+		chans, err := s.behaviorChannels(b, n)
 		if err != nil {
 			return nil, fmt.Errorf("builder: pass frequencies: %w", behErr(b, err))
 		}
 		for _, c := range chans {
 			s.wireChannel(c)
-			reindex[c.Dst.EndpointName()] = true
 		}
 		if !s.opts.SkipTags {
 			s.tagChannels(b, chans)
 		}
-		if err := cow.SpliceBehChans(id, chans); err != nil {
-			return nil, nil
-		}
-		s.behaviorWeights(b, fresh[id])
+		s.behaviorWeights(b, n)
+		g.Nodes = append(g.Nodes, n)
+		g.Channels = append(g.Channels, chans...)
 	}
-
-	names := make([]string, 0, len(reindex))
-	for n := range reindex {
-		names = append(names, n)
-	}
-	cow.ReindexNodes(names...)
+	g.Nodes = append(g.Nodes, prev.Nodes[len(d.Behaviors):]...)
+	g.Reindex()
 
 	if s.opts.Overrides != nil {
-		s.opts.Overrides.applyTo(fresh)
+		s.opts.Overrides.applyTo(s.res)
 	}
+	s.g = g
 	if err := passValidate(s); err != nil {
 		return nil, fmt.Errorf("builder: pass validate: %w", err)
 	}
-	return cow, nil
+	return g, nil
+}
+
+// builderForm reports whether g's nodes are d's behaviors then d's
+// objects, by UniqueID and in order, as Build lays them out. patch finds
+// each behavior's node by that position, and the caller closure reads
+// prev's access relation. An in-place transform (xform's inline or merge)
+// breaks the layout, and a graph it edited is no build of any source, so
+// it must not be patched.
+func builderForm(g *core.Graph, d *sem.Design) bool {
+	if len(g.Nodes) != len(d.Behaviors)+len(d.Objects) {
+		return false
+	}
+	for i, b := range d.Behaviors {
+		if g.Nodes[i].Name != b.UniqueID {
+			return false
+		}
+	}
+	for i, o := range d.Objects {
+		if g.Nodes[len(d.Behaviors)+i].Name != o.UniqueID {
+			return false
+		}
+	}
+	return true
 }
 
 // rebuildFull is the fall-back: a from-scratch Build of the new source,

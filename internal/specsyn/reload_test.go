@@ -11,6 +11,7 @@ import (
 	"specsyn/internal/core"
 	"specsyn/internal/partition"
 	"specsyn/internal/vhdl"
+	"specsyn/internal/xform"
 )
 
 // reloadBytes compiles a graph stripped of its allocation, so Reload
@@ -260,5 +261,48 @@ func TestReloadDuringParallelSearch(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestReloadAfterTransform is the regression test for reloading over a
+// graph an in-place transform edited (the shell's inline and merge): the
+// graph no longer has the layout a build gives it, so the next semantic
+// edit must rebuild it from scratch rather than patch it.
+func TestReloadAfterTransform(t *testing.T) {
+	for _, name := range []string{"ans", "ether", "fuzzy", "vol"} {
+		t.Run(name, func(t *testing.T) {
+			env := load(t, name)
+			inlined, err := xform.InlineAll(env.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(inlined) == 0 {
+				t.Fatal("InlineAll changed nothing; the test needs a transformed graph")
+			}
+			env.InvalidateCompiled()
+
+			df := vhdl.MustParse(env.Source)
+			procs := df.Architectures[0].Processes
+			last := procs[len(procs)-1]
+			last.Body = append([]vhdl.Stmt{&vhdl.NullStmt{}}, last.Body...)
+			edited := vhdl.Format(df)
+			delta, err := env.Reload(edited)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !delta.Full {
+				t.Errorf("reload over a transformed graph patched it: delta %+v", delta)
+			}
+
+			fresh := load(t, name)
+			fresh.LoadVHDL(edited)
+			if err := fresh.Build(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reloadBytes(t, env.Graph), reloadBytes(t, fresh.Graph)) {
+				t.Errorf("reload gives %d nodes, a build of the edited source %d",
+					len(env.Graph.Nodes), len(fresh.Graph.Nodes))
+			}
+		})
 	}
 }

@@ -124,11 +124,14 @@ func (e *Env) Build() error {
 // Reload swaps in an edited specification source, rebuilding the SLIF
 // graph incrementally against the current one (builder.Rebuild): a
 // semantically empty edit keeps the graph — and every compiled estimator
-// structure — untouched; a localized edit patches a copy-on-write clone
-// and re-applies the allocation; anything else falls back to a full
-// build, with the reason in the Delta. The current graph is never
-// mutated, so searches already running on it stay consistent. On error
-// the session keeps its previous source, design and graph.
+// structure — untouched; a localized edit builds a new graph that shares
+// every untouched node and channel with the current one, and re-applies
+// the allocation; anything else falls back to a full build, with the
+// reason in the Delta. A graph an in-place transform (the shell's inline
+// or merge) edited is no build of any source, so the next semantic edit
+// rebuilds it fully and the transform is dropped. The current graph is
+// never mutated, so searches already running on it stay consistent. On
+// error the session keeps its previous source, design and graph.
 func (e *Env) Reload(src string) (builder.Delta, error) {
 	if e.Graph == nil || e.Source == "" {
 		prevSrc := e.Source
