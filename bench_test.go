@@ -5,7 +5,7 @@
 //   - BenchmarkEstimate/*     — Figure 4's T-est column per example
 //   - BenchmarkFormatSizes/*  — the SLIF vs ADD(VT) vs CDFG size comparison
 //   - BenchmarkQuadratic*     — the n² computation-count comparison
-//   - BenchmarkExplore*       — the "thousands of designs" estimation claim
+//   - BenchmarkParallelExplore — the "thousands of designs" estimation claim
 //   - BenchmarkEstimateTags / NoMemo — ablations of design choices
 //
 // cmd/slifbench prints the same results as human-readable tables.
@@ -182,24 +182,6 @@ func BenchmarkQuadraticClustering(b *testing.B) {
 	b.ReportMetric(float64(comps), "paircomps")
 }
 
-// BenchmarkEstimatePerPartition measures the marginal cost of evaluating
-// one candidate partition during search — the quantity that must stay tiny
-// for "algorithms that explore thousands of possible designs".
-func BenchmarkEstimatePerPartition(b *testing.B) {
-	for _, name := range examples {
-		env := loadEnv(b, name)
-		ev := partition.NewEvaluator(env.Graph, partition.Constraints{}, partition.DefaultWeights(), estimate.Options{})
-		pt := core.AllToProcessor(env.Graph, env.Graph.Procs[0], env.Graph.Buses[0])
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ev.Cost(pt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // exploreGraphs collects the exploration subjects: the four paper examples
 // plus generated specifications that extend the size axis past "ether".
 func exploreGraphs(b testing.TB) []struct {
@@ -211,17 +193,11 @@ func exploreGraphs(b testing.TB) []struct {
 		name string
 		g    *core.Graph
 	}
-	for _, name := range examples {
+	for _, name := range append(examples, "syn-p8", "syn-p32") {
 		subjects = append(subjects, struct {
 			name string
 			g    *core.Graph
-		}{name, loadEnv(b, name).Graph})
-	}
-	for _, procs := range []int{8, 32} {
-		subjects = append(subjects, struct {
-			name string
-			g    *core.Graph
-		}{fmt.Sprintf("syn-p%d", procs), synGraph(b, syngen.Config{Seed: 7, Processes: procs})})
+		}{name, subjectGraph(b, name)})
 	}
 	return subjects
 }
@@ -246,36 +222,12 @@ func exploreConfig(g *core.Graph) partition.Config {
 	return partition.Config{Eval: ev, Policy: partition.SingleBus(g.Buses[0]), Seed: 42, MaxIters: 1000}
 }
 
-// BenchmarkExploreThousand times a 1000-partition random exploration of
-// each example end to end, one sub-benchmark per subject, reporting the
-// designs-per-second throughput and the best cost reached (the baseline
-// the parallel engine must reproduce exactly).
-func BenchmarkExploreThousand(b *testing.B) {
-	for _, sub := range exploreGraphs(b) {
-		b.Run(sub.name, func(b *testing.B) {
-			var res partition.Result
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = partition.Random(context.Background(), sub.g, exploreConfig(sub.g))
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start)
-			if elapsed > 0 {
-				b.ReportMetric(float64(b.N*res.Evals)/elapsed.Seconds(), "designs/s")
-			}
-			b.ReportMetric(res.Cost, "bestcost")
-		})
-	}
-}
-
-// BenchmarkParallelExplore runs the identical enumeration through the
-// parallel multi-start engine at 1, 2 and 4 workers (legs = workers). The
-// best cost is asserted equal to the sequential baseline's at every worker
-// count — the engine's determinism contract — so the only thing the worker
-// axis changes is throughput.
+// BenchmarkParallelExplore runs a 1000-partition random enumeration of
+// each subject through the parallel multi-start engine at 1, 2 and 4
+// workers, reporting designs per second. The best cost is asserted equal
+// to sequential partition.Random's at the same seed at every worker count
+// — the engine's determinism contract — so the only thing the worker axis
+// changes is throughput.
 func BenchmarkParallelExplore(b *testing.B) {
 	for _, sub := range exploreGraphs(b) {
 		seq, err := partition.Random(context.Background(), sub.g, exploreConfig(sub.g))

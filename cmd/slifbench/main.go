@@ -6,10 +6,12 @@
 //	-explore  §5 claim: thousands of designs estimated per second
 //	-buswidth bus-width sweep: exec time & I/O vs physical bus wires
 //	-granularity §2.2's knob: basic blocks as procedures
-//	-rebuild  incremental edit-aware rebuild vs full build
 //
 // With no mode flag, every mode runs. -testdata points at the directory
-// holding the four example specifications (default "testdata").
+// holding the four example specifications (default "testdata"); -json
+// also writes the -explore rows to BENCH_explore.json. Incremental
+// rebuild is not a paper table: TestCounts in the root package counts
+// what it allocates, and the bench module's edit-loop workload times it.
 package main
 
 import (
@@ -44,15 +46,14 @@ func main() {
 	formats := flag.Bool("formats", false, "regenerate the format-size comparison")
 	n2 := flag.Bool("n2", false, "regenerate the n^2 computation-count comparison")
 	explore := flag.Bool("explore", false, "measure partitions estimated per second")
-	jsonOut := flag.Bool("json", false, "also write the -explore and -rebuild measurements to BENCH_explore.json and BENCH_build.json")
+	jsonOut := flag.Bool("json", false, "also write the -explore measurements to BENCH_explore.json")
 	workers := flag.Int("workers", 0, "worker pool size for the parallel explore run (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "wall-clock bound on the explore run; a cut-short run reports its partial best (0 = none)")
 	buswidth := flag.Bool("buswidth", false, "sweep bus widths on the fuzzy example")
 	gran := flag.Bool("granularity", false, "basic-block granularity comparison")
-	rebuild := flag.Bool("rebuild", false, "benchmark incremental rebuild against full build")
 	flag.Parse()
 
-	all := !*fig4 && !*formats && !*n2 && !*explore && !*buswidth && !*gran && !*rebuild
+	all := !*fig4 && !*formats && !*n2 && !*explore && !*buswidth && !*gran
 	if *fig4 || all {
 		runFig4(*dir)
 	}
@@ -70,9 +71,6 @@ func main() {
 	}
 	if *gran || all {
 		runGranularity(*dir)
-	}
-	if *rebuild || all {
-		runRebuild(*dir, *jsonOut)
 	}
 }
 
@@ -242,42 +240,30 @@ type exploreRecord struct {
 	Workers        int     `json:"workers"`
 }
 
-// exploreSubjects: the four paper examples plus generated scaling subjects.
-func exploreSubjects(dir string) []struct {
+// subject is one named graph of the explore run.
+type subject struct {
 	name string
 	g    *core.Graph
-} {
-	var subjects []struct {
-		name string
-		g    *core.Graph
-	}
-	for _, name := range examples {
-		subjects = append(subjects, struct {
-			name string
-			g    *core.Graph
-		}{name, loadEnv(dir, name).Graph})
-	}
-	for _, procs := range []int{8, 32} {
-		subjects = append(subjects, struct {
-			name string
-			g    *core.Graph
-		}{fmt.Sprintf("syn-p%d", procs), synGraph(syngen.Config{Seed: 7, Processes: procs})})
-	}
-	return subjects
 }
 
-// synGraph generates and builds one synthetic subject with the standard
-// two-processor/one-bus allocation.
-func synGraph(cfg syngen.Config) *core.Graph {
-	src := syngen.Generate(cfg)
-	g, err := builder.BuildVHDL(src, builder.Options{})
-	if err != nil {
-		fatal(err)
+// exploreSubjects: the four paper examples plus generated scaling
+// subjects, which get the standard two-processor/one-bus allocation.
+func exploreSubjects(dir string) []subject {
+	var subjects []subject
+	for _, name := range examples {
+		subjects = append(subjects, subject{name, loadEnv(dir, name).Graph})
 	}
-	g.AddProcessor(&core.Processor{Name: "cpu", TypeName: "proc10"})
-	g.AddProcessor(&core.Processor{Name: "asic", TypeName: "asic50", Custom: true})
-	g.AddBus(&core.Bus{Name: "bus", BitWidth: 16, TS: 0.05, TD: 0.4})
-	return g
+	for _, procs := range []int{8, 32} {
+		g, err := builder.BuildVHDL(syngen.Generate(syngen.Config{Seed: 7, Processes: procs}), builder.Options{})
+		if err != nil {
+			fatal(err)
+		}
+		g.AddProcessor(&core.Processor{Name: "cpu", TypeName: "proc10"})
+		g.AddProcessor(&core.Processor{Name: "asic", TypeName: "asic50", Custom: true})
+		g.AddBus(&core.Bus{Name: "bus", BitWidth: 16, TS: 0.05, TD: 0.4})
+		subjects = append(subjects, subject{fmt.Sprintf("syn-p%d", procs), g})
+	}
+	return subjects
 }
 
 // moveTrialStats measures the per-trial hot path of the snapshot engine on
@@ -388,35 +374,21 @@ func runExplore(dir string, workers int, timeout time.Duration, jsonOut bool) {
 	}
 	fmt.Println()
 	if jsonOut {
-		writeBench("BENCH_explore.json", struct {
-			machine
+		// The host travels with the numbers.
+		data, err := json.MarshalIndent(struct {
+			NProc      int             `json:"nproc"`
+			GoMaxProcs int             `json:"gomaxprocs"`
+			GoVersion  string          `json:"go_version"`
 			Throughput []exploreRecord `json:"throughput"`
-		}{thisMachine(), records})
+		}{runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(), records}, "", "  ")
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile("BENCH_explore.json", append(data, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Println("wrote BENCH_explore.json")
 	}
-}
-
-// machine records the host a bench file was measured on; it travels with
-// the numbers.
-type machine struct {
-	NProc      int    `json:"nproc"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	GoVersion  string `json:"go_version"`
-}
-
-func thisMachine() machine {
-	return machine{runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version()}
-}
-
-// writeBench writes v as indented JSON to file.
-func writeBench(file string, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(file, append(data, '\n'), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Println("wrote", file)
 }
 
 // runBusWidth sweeps the physical bus width for a fixed hardware/software
@@ -489,177 +461,23 @@ func runGranularity(dir string) {
 		if err != nil {
 			fatal(err)
 		}
-		tEst := func(g likeGraph) time.Duration {
-			g.addStd()
+		// T-est of an all-software partition on a default allocation.
+		tEst := func(g *core.Graph) time.Duration {
+			cpu := &core.Processor{Name: "cpu", TypeName: "proc10"}
+			g.AddProcessor(cpu)
+			g.AddBus(&core.Bus{Name: "bus", BitWidth: 16, TS: 0.05, TD: 0.4})
+			pt := core.AllToProcessor(g, cpu, g.Buses[0])
 			start := time.Now()
-			est := estimate.New(g.g, g.pt, estimate.Options{})
-			if _, err := est.Report(); err != nil {
+			if _, err := estimate.New(g, pt, estimate.Options{}).Report(); err != nil {
 				fatal(err)
 			}
 			return time.Since(start)
 		}
-		cG := likeGraph{g: coarse}
-		fG := likeGraph{g: fine}
-		tc, tf := tEst(cG), tEst(fG)
+		tc, tf := tEst(coarse), tEst(fine)
 		fmt.Printf("%-8s %12s %12s %14v %14v\n", name,
 			fmt.Sprintf("%d/%d", coarse.Stats().BV, coarse.Stats().Channels),
 			fmt.Sprintf("%d/%d", fine.Stats().BV, fine.Stats().Channels),
 			tc, tf)
 	}
 	fmt.Println()
-}
-
-// likeGraph pairs a bare graph with a default allocation and partition.
-type likeGraph struct {
-	g  *core.Graph
-	pt *core.Partition
-}
-
-func (l *likeGraph) addStd() {
-	cpu := &core.Processor{Name: "cpu", TypeName: "proc10"}
-	l.g.AddProcessor(cpu)
-	l.g.AddBus(&core.Bus{Name: "bus", BitWidth: 16, TS: 0.05, TD: 0.4})
-	l.pt = core.AllToProcessor(l.g, cpu, l.g.Buses[0])
-}
-
-// rebuildRecord is one subject's row of the -rebuild run, as written to
-// BENCH_build.json.
-type rebuildRecord struct {
-	Example    string  `json:"example"`
-	FullNs     float64 `json:"full_build_ns_per_op"`
-	IncNs      float64 `json:"incremental_rebuild_ns_per_op"`
-	Speedup    float64 `json:"speedup"`
-	Changed    int     `json:"changed"`
-	Dependents int     `json:"dependents"`
-}
-
-// rebuildSubject is one -rebuild measurement subject: a previously built
-// graph paired with the source and options it was built from.
-type rebuildSubject struct {
-	name string
-	src  string
-	opts builder.Options
-	g    *core.Graph
-}
-
-// rebuildSubjects streams the four paper examples (with their profiles and
-// overrides, as a session would build them) and the generated scaling
-// subjects one at a time, so only the subject under measurement is live —
-// a resident pile of large graphs would tax the GC and skew both sides of
-// the comparison.
-func rebuildSubjects(dir string, visit func(rebuildSubject)) {
-	for _, name := range examples {
-		env := loadEnv(dir, name)
-		visit(rebuildSubject{name, env.Source, builder.Options{Profile: env.Prof, Techs: env.Lib.Techs, Overrides: env.Overrides}, env.Graph})
-	}
-	for _, procs := range []int{8, 32, 128} {
-		src := syngen.Generate(syngen.Config{Seed: 7, Processes: procs})
-		g, err := builder.BuildVHDL(src, builder.Options{})
-		if err != nil {
-			fatal(err)
-		}
-		visit(rebuildSubject{fmt.Sprintf("syn-p%d", procs), src, builder.Options{}, g})
-	}
-}
-
-// runRebuild measures the incremental-rebuild claim: after a one-behavior
-// edit (a null statement inserted into the first process), Rebuild
-// re-extracts only the affected behaviors and shares the rest of the
-// previous graph instead of reconstructing it, so the
-// edit-to-graph latency drops well below a full parse/elaborate/build. A
-// unique trailing comment per iteration defeats the front-end cache on the
-// edited source, so every trial pays the real parse cost; the previous
-// source stays cached, as it would across a session's reload chain.
-func runRebuild(dir string, jsonOut bool) {
-	fmt.Println("Incremental rebuild after a one-behavior edit vs full build")
-	fmt.Println()
-	fmt.Printf("%-8s %14s %14s %9s %9s %11s\n", "", "full ns/op", "incr ns/op", "speedup", "changed", "dependents")
-	var records []rebuildRecord
-	iter := 0
-	rebuildSubjects(dir, func(sub rebuildSubject) {
-		df, err := vhdl.Parse(sub.src)
-		if err != nil {
-			fatal(err)
-		}
-		ps := df.Architectures[0].Processes[0]
-		ps.Body = append([]vhdl.Stmt{&vhdl.NullStmt{}}, ps.Body...)
-		edited := vhdl.Format(df)
-		uniq := func() string {
-			iter++
-			return fmt.Sprintf("%s-- edit %d\n", edited, iter)
-		}
-
-		// Once per subject: the patched graph must be byte-identical to a
-		// full build of the edited source, and the delta a real increment.
-		g2, delta, err := builder.Rebuild(sub.g, sub.src, edited, sub.opts)
-		if err != nil {
-			fatal(err)
-		}
-		if delta.Full {
-			fatal(fmt.Errorf("%s: one-behavior edit fell back to a full build (%s)", sub.name, delta.Reason))
-		}
-		full2, err := builder.BuildVHDL(edited, sub.opts)
-		if err != nil {
-			fatal(err)
-		}
-		if !bytesEqualCompiled(g2, full2) {
-			fatal(fmt.Errorf("%s: incremental rebuild diverges from full build", sub.name))
-		}
-
-		fullRes := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := builder.BuildVHDL(uniq(), sub.opts); err != nil {
-					fatal(err)
-				}
-			}
-		})
-		prev, prevSrc := sub.g, sub.src
-		incRes := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := builder.Rebuild(prev, prevSrc, uniq(), sub.opts); err != nil {
-					fatal(err)
-				}
-			}
-		})
-		rec := rebuildRecord{
-			Example:    sub.name,
-			FullNs:     float64(fullRes.NsPerOp()),
-			IncNs:      float64(incRes.NsPerOp()),
-			Speedup:    float64(fullRes.NsPerOp()) / float64(incRes.NsPerOp()),
-			Changed:    len(delta.Changed),
-			Dependents: len(delta.Dependents),
-		}
-		records = append(records, rec)
-		fmt.Printf("%-8s %14.0f %14.0f %8.2fx %9d %11d\n",
-			rec.Example, rec.FullNs, rec.IncNs, rec.Speedup, rec.Changed, rec.Dependents)
-	})
-	fmt.Println()
-	if jsonOut {
-		writeBench("BENCH_build.json", struct {
-			machine
-			Rebuild []rebuildRecord `json:"rebuild"`
-		}{thisMachine(), records})
-	}
-}
-
-// bytesEqualCompiled compares two graphs by their compiled binary form,
-// ignoring any allocation components.
-func bytesEqualCompiled(a, b *core.Graph) bool {
-	ab, err := core.Compile(a.Clone(false))
-	if err != nil {
-		return false
-	}
-	bb, err := core.Compile(b.Clone(false))
-	if err != nil {
-		return false
-	}
-	ad, err := ab.MarshalBinary()
-	if err != nil {
-		return false
-	}
-	bd, err := bb.MarshalBinary()
-	if err != nil {
-		return false
-	}
-	return string(ad) == string(bd)
 }

@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"specsyn/internal/core"
 	"specsyn/internal/estimate"
@@ -207,6 +208,60 @@ func TestSnapshotMoveCostZeroAllocs(t *testing.T) {
 	}
 }
 
+// moveTrial returns BenchmarkSnapshotMoveCost's trial on name: call i
+// costs move i of moveBenchSetup's rotation.
+func moveTrial(tb testing.TB, name string, constrained bool) func(i int) {
+	d, nodes, dests := moveBenchSetup(tb, name, constrained)
+	return func(i int) {
+		k := i % len(nodes)
+		if _, err := d.MoveCost(nodes[k], dests[k]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// fullTrial returns BenchmarkFullCost's trial on name: a full recompute
+// of the all-software partition's cost with every cost term active.
+func fullTrial(tb testing.TB, name string) func(i int) {
+	g := loadEnv(tb, name).Graph
+	ev := partition.NewEvaluator(g, deltaSubjectConstraints(g), partition.DefaultWeights(), estimate.Options{})
+	pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+	return func(int) {
+		if _, err := ev.Cost(pt); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestSnapshotMoveCostRatio times 2000 trials each of
+// BenchmarkSnapshotMoveCost and BenchmarkFullCost on ans and ether, after
+// one warm-up trial, and requires the snapshot trial to take at most half
+// the time of the full recompute (measured: under a tenth). A ratio near 1
+// means the compiled path regressed into pointer chasing. The race
+// detector's instrumentation distorts the ratio, so it skips under -race.
+func TestSnapshotMoveCostRatio(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("timing ratio is not meaningful under -race")
+	}
+	const trials = 2000
+	perTrial := func(trial func(int)) time.Duration {
+		trial(0)
+		start := time.Now()
+		for i := 1; i <= trials; i++ {
+			trial(i)
+		}
+		return time.Since(start) / trials
+	}
+	for _, name := range []string{"ans", "ether"} {
+		snap, full := perTrial(moveTrial(t, name, true)), perTrial(fullTrial(t, name))
+		ratio := float64(snap) / float64(full)
+		t.Logf("%s: snapshot %v, full %v per trial, ratio %.3f", name, snap, full, ratio)
+		if ratio > 0.5 {
+			t.Errorf("%s: snapshot/full = %.2f, want at most 0.5", name, ratio)
+		}
+	}
+}
+
 // BenchmarkSnapshotMoveCost measures one incremental move trial — the
 // partitioning inner loop — costed entirely from the compiled CSR
 // snapshot, touching no Partition maps and no pointers. The subjects
@@ -214,18 +269,16 @@ func TestSnapshotMoveCostZeroAllocs(t *testing.T) {
 // Each runs with every cost term active and, under unconstrained/, with
 // none, where a trial skips the Exectime upkeep.
 // TestSnapshotMoveCostZeroAllocs holds every row at zero steady-state
-// allocations, and CI holds it well under BenchmarkFullCost.
+// allocations, and TestSnapshotMoveCostRatio holds it well under
+// BenchmarkFullCost.
 func BenchmarkSnapshotMoveCost(b *testing.B) {
 	run := func(name string, constrained bool) func(*testing.B) {
 		return func(b *testing.B) {
-			d, nodes, dests := moveBenchSetup(b, name, constrained)
+			trial := moveTrial(b, name, constrained)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := i % len(nodes)
-				if _, err := d.MoveCost(nodes[k], dests[k]); err != nil {
-					b.Fatal(err)
-				}
+				trial(i)
 			}
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "designs/s")
 		}
@@ -245,15 +298,11 @@ func BenchmarkSnapshotMoveCost(b *testing.B) {
 func BenchmarkFullCost(b *testing.B) {
 	for _, name := range []string{"ans", "ether"} {
 		b.Run(name, func(b *testing.B) {
-			g := loadEnv(b, name).Graph
-			ev := partition.NewEvaluator(g, deltaSubjectConstraints(g), partition.DefaultWeights(), estimate.Options{})
-			pt := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
+			trial := fullTrial(b, name)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ev.Cost(pt); err != nil {
-					b.Fatal(err)
-				}
+				trial(i)
 			}
 		})
 	}

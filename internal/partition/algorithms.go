@@ -32,12 +32,6 @@ type Config struct {
 	// this probability per iteration instead of a single-node move. Zero
 	// keeps the historical single-move proposal stream bit-identical.
 	SwapProb float64
-
-	// SwapPass, when set, makes GroupMigration follow its converged move
-	// passes with a Kernighan–Lin style swap pass: repeatedly commit the
-	// best strictly-improving pair exchange until none remains. Off by
-	// default so existing runs are unchanged.
-	SwapPass bool
 }
 
 // checkInterval is how many candidates/iterations a search hot loop runs
@@ -438,87 +432,7 @@ func GroupMigration(ctx context.Context, init *core.Partition, cfg Config) (Resu
 			break
 		}
 	}
-	if cfg.SwapPass && !partial {
-		var err error
-		curCost, partial, err = swapPass(ctx, g, cur, curCost, cfg, start)
-		if err != nil {
-			return Result{}, err
-		}
-	}
 	return Result{Best: cur, Cost: curCost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
-}
-
-// swapPass is GroupMigration's Kernighan–Lin style pair-exchange phase:
-// single-node passes move mass between components, but a pair of nodes
-// whose individual moves both worsen the cost can still improve it as an
-// exchange (the classic KL insight). Each iteration trials every cross-
-// component pair whose endpoints can legally host each other's component
-// and commits the single best strictly-improving exchange; iterations
-// repeat until none improves. Every committed swap strictly improves cur,
-// so an abandoned pass (cancel/budget) never needs prefix rollback.
-func swapPass(ctx context.Context, g *core.Graph, cur *core.Partition, curCost float64, cfg Config, start int) (float64, bool, error) {
-	// Hostability table: swaps must stay within each node's candidate set.
-	allowed := make(map[*core.Node]map[core.Component]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
-		set := make(map[core.Component]bool)
-		for _, c := range Allowed(g, n) {
-			set[c] = true
-		}
-		allowed[n] = set
-	}
-	work := cur.Clone()
-	wm, err := cfg.Eval.Delta(work, cfg.Policy)
-	if err != nil {
-		return 0, false, err
-	}
-	trials := 0
-	for {
-		if cancelled(ctx) || !cfg.budgetLeft(start) {
-			return curCost, true, nil
-		}
-		bestCost := curCost
-		var bestA, bestB *core.Node
-		for i, a := range g.Nodes {
-			for _, b := range g.Nodes[i+1:] {
-				ca, cb := work.BvComp(a), work.BvComp(b)
-				if ca == cb || !allowed[a][cb] || !allowed[b][ca] {
-					continue
-				}
-				if trials%checkInterval == 0 && cancelled(ctx) {
-					return curCost, true, nil
-				}
-				if !cfg.budgetLeft(start) {
-					return curCost, true, nil
-				}
-				trials++
-				cost, err := wm.SwapCost(a, b)
-				if err != nil {
-					return 0, false, err
-				}
-				if cost < bestCost {
-					bestCost, bestA, bestB = cost, a, b
-				}
-			}
-		}
-		if bestA == nil {
-			return curCost, false, nil // no improving exchange left
-		}
-		if err := wm.ApplySwap(bestA, bestB); err != nil {
-			return 0, false, err
-		}
-		// Commit through to cur immediately: strictly-improving exchanges
-		// need no prefix bookkeeping to be safe against abandonment.
-		if err := cur.Assign(bestA, work.BvComp(bestA)); err != nil {
-			return 0, false, err
-		}
-		if err := cur.Assign(bestB, work.BvComp(bestB)); err != nil {
-			return 0, false, err
-		}
-		curCost = bestCost
-		if err := ApplyBusPolicy(cur, cfg.Policy); err != nil {
-			return 0, false, err
-		}
-	}
 }
 
 // Anneal runs simulated annealing from an initial partition: random node

@@ -139,7 +139,13 @@ func runStrands(ctx context.Context, g *core.Graph, cfg Config, opt ParallelOpti
 		// leg 0 stays the canonical Greedy.
 		quota := splitBudget(cfg.MaxEvals, len(live))
 		if roundEvals > 0 && cfg.MaxEvals > 0 {
-			quota = splitBudget(min(len(live)*roundEvals, remaining), len(live))
+			// min(len(live)*roundEvals, remaining), without forming a
+			// product that could wrap to 0, which would mean unlimited.
+			deal := remaining
+			if roundEvals <= remaining/len(live) {
+				deal = len(live) * roundEvals
+			}
+			quota = splitBudget(deal, len(live))
 		} else if roundEvals > 0 {
 			for i, s := range live {
 				if s.kind != "greedy" || s.started {

@@ -9,6 +9,7 @@ package partition
 import (
 	"context"
 	"testing"
+	"time"
 
 	"specsyn/internal/faultinject"
 )
@@ -190,25 +191,32 @@ func TestAdaptiveRespawnPanics(t *testing.T) {
 
 // TestAdaptiveBudget: a global MaxEvals budget is dealt out per round and
 // stops the run with Partial set; the overshoot is bounded by one grace
-// evaluation per leg, as in a one-round run.
+// evaluation per leg, as in a one-round run. A round deals the smaller of
+// RoundEvals per live leg and what is left of the budget; at RoundEvals
+// 2^62 the product of the two wraps to 0, an unlimited quota, unless the
+// deal avoids forming it.
 func TestAdaptiveBudget(t *testing.T) {
 	g := benchGraph(t, 9, 6)
 	cfg := config(g, Constraints{})
 	cfg.Seed = 3
 	cfg.MaxEvals = 200
 	const nLegs = 4
-	res, err := MultiStart(context.Background(), g, cfg,
-		ParallelOptions{Workers: 4, Legs: nLegs, RoundEvals: 64, MaxRounds: 8})
-	if err != nil {
-		t.Fatal(err)
+	for _, roundEvals := range []int{64, 1 << 62} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		res, err := MultiStart(ctx, g, cfg,
+			ParallelOptions{Workers: 4, Legs: nLegs, RoundEvals: roundEvals, MaxRounds: 8})
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Evals > 200+nLegs || res.Report.Evals > 200+nLegs {
+			t.Errorf("RoundEvals %d: budget 200 overspent: %d evals", roundEvals, res.Report.Evals)
+		}
+		if !res.Partial || !res.Report.Partial {
+			t.Errorf("RoundEvals %d: budget-exhausted adaptive run not marked partial", roundEvals)
+		}
+		completeMapping(t, res.Result)
 	}
-	if res.Evals > 200+nLegs {
-		t.Errorf("budget 200 overspent: %d evals", res.Evals)
-	}
-	if !res.Partial || !res.Report.Partial {
-		t.Error("budget-exhausted adaptive run not marked partial")
-	}
-	completeMapping(t, res.Result)
 }
 
 // TestParallelEmptyShardSemantics pins the satellite contract: a

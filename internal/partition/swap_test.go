@@ -2,8 +2,7 @@ package partition
 
 // Tests for the pair-swap move kind: the differential oracle for
 // SwapCost/ApplySwap on the delta evaluator, the eval-accounting
-// contract, and the two searches that use swaps (Anneal's swap proposals
-// and GroupMigration's KL-style swap pass).
+// contract, and the search that uses swaps (Anneal's swap proposals).
 
 import (
 	"context"
@@ -245,40 +244,5 @@ func TestAnnealSwapMoves(t *testing.T) {
 	recost := oracleCost(t, cfg.Eval, res.Best, cfg.Policy)
 	if math.Abs(recost-res.Cost) > 1e-9 {
 		t.Errorf("reported cost %v != recomputed %v", res.Cost, recost)
-	}
-}
-
-// TestGroupMigrationSwapPass: the KL-style swap pass only ever commits
-// strictly improving exchanges, so SwapPass on can never end worse than
-// off, and its reported cost must survive a full recompute.
-func TestGroupMigrationSwapPass(t *testing.T) {
-	g := benchGraph(t, 10, 5)
-	// Both processors tight: neither side can absorb every behavior, so
-	// the converged partition is split with nonzero cost and the swap
-	// pass has cross-component pairs to trial.
-	g.Procs[0].SizeCon = 600
-	g.Procs[1].SizeCon = 1500
-	cons := Constraints{Deadline: map[string]float64{"b0": 120}}
-	run := func(swap bool) Result {
-		cfg := config(g, cons)
-		cfg.SwapPass = swap
-		init := core.AllToProcessor(g, g.Procs[0], g.Buses[0])
-		res, err := GroupMigration(context.Background(), init, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		completeMapping(t, res)
-		recost := oracleCost(t, cfg.Eval, res.Best, cfg.Policy)
-		if math.Abs(recost-res.Cost) > 1e-9 {
-			t.Fatalf("swap=%v: reported cost %v != recomputed %v", swap, res.Cost, recost)
-		}
-		return res
-	}
-	off, on := run(false), run(true)
-	if on.Cost > off.Cost+1e-9 {
-		t.Errorf("swap pass worsened the result: %v > %v", on.Cost, off.Cost)
-	}
-	if on.Evals <= off.Evals {
-		t.Errorf("swap pass spent no evaluations: %d <= %d", on.Evals, off.Evals)
 	}
 }

@@ -686,10 +686,12 @@ type ExploreRequest struct {
 
 // Fixed bounds on one explore request. The engine allocates per leg and
 // per round, so an unbounded count could exhaust memory, which recover
-// cannot contain.
+// cannot contain. A round's evaluation quota is bounded too, so no
+// request can deal a quota that means unlimited.
 const (
-	maxExploreLegs   = 256
-	maxExploreRounds = 1024
+	maxExploreLegs       = 256
+	maxExploreRounds     = 1024
+	maxExploreRoundEvals = 1 << 20
 )
 
 // ExploreResponse reports the merged portfolio result.
@@ -730,8 +732,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if req.Legs == 0 {
 		req.Legs = req.Workers
 	}
-	if req.Legs > maxExploreLegs || req.MaxRounds > maxExploreRounds {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("explore allows at most %d legs and %d rounds", maxExploreLegs, maxExploreRounds))
+	if req.Legs > maxExploreLegs || req.MaxRounds > maxExploreRounds || req.RoundEvals > maxExploreRoundEvals {
+		s.writeError(w, http.StatusBadRequest, fmt.Errorf("explore allows at most %d legs, %d rounds and %d round_evals",
+			maxExploreLegs, maxExploreRounds, maxExploreRoundEvals))
 		return
 	}
 	req.Workers = min(req.Workers, runtime.GOMAXPROCS(0))

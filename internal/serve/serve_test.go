@@ -304,8 +304,9 @@ func TestServerNonFiniteEstimate(t *testing.T) {
 }
 
 // TestServerExploreBounds: explore bodies whose leg or round count would
-// make the daemon allocate without bound get a quick 400 that names the
-// limits, and the daemon keeps serving. Legs default to workers, so a
+// make the daemon allocate without bound, or whose round_evals would
+// overrun the evaluation budget, get a quick 400 that names the limits,
+// and the daemon keeps serving. Legs default to workers, so a
 // workers-only request keeps its leg count when workers is clamped to the
 // host's cores: the result does not depend on the host.
 func TestServerExploreBounds(t *testing.T) {
@@ -318,6 +319,7 @@ func TestServerExploreBounds(t *testing.T) {
 		`{"workers": 1073741824, "max_evals": 100}`,
 		`{"legs": 1073741824, "max_evals": 100}`,
 		`{"legs": 4, "max_rounds": 1073741824, "max_evals": 100}`,
+		`{"legs": 4, "round_evals": 4611686018427387904, "max_rounds": 2, "max_evals": 100, "timeout_ms": 3000}`,
 		`{"adaptive": true}`, // removed field: unknown fields are rejected
 	} {
 		start := time.Now()

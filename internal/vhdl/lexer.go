@@ -42,13 +42,6 @@ func (l *Lexer) peek() byte {
 	return l.src[l.off]
 }
 
-func (l *Lexer) peek2() byte {
-	if l.off+1 >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off+1]
-}
-
 func (l *Lexer) advance() byte {
 	c := l.src[l.off]
 	l.off++
