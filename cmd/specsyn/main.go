@@ -7,7 +7,7 @@
 //
 //	specsyn build     -vhd f.vhd [-prob f.prob] [-lib f.lib] [-ov f.ov] [-o out.slif] [-dot out.dot]
 //	specsyn estimate  -vhd f.vhd [...] [-split]         estimate a partition
-//	specsyn partition -vhd f.vhd [...] -algo gm [-deadline proc=us] [-seed n] [-iters n] [-timeout d] [-max-evals n] [-share] [-round-evals n]
+//	specsyn partition -vhd f.vhd [...] -algo gm [-deadline proc=us] [-seed n] [-iters n] [-timeout d] [-max-evals n] [-legs n] [-share] [-round-evals n]
 //	specsyn xform     -vhd f.vhd [...] -inline-all | -merge a,b
 //	specsyn simulate  -vhd f.vhd [-steps n] [-seed n] [-prob-out f.prob]
 //	specsyn shell     -vhd f.vhd [...]                  interactive session
@@ -28,11 +28,11 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"specsyn/internal/core"
 	"specsyn/internal/estimate"
 	"specsyn/internal/interp"
-	"specsyn/internal/partition"
 	"specsyn/internal/sem"
 	"specsyn/internal/shell"
 	"specsyn/internal/specsyn"
@@ -195,27 +195,35 @@ func runEstimate(args []string) {
 	fmt.Print(rep.String())
 }
 
-func runPartition(args []string) {
+// partitionCmd is the partition subcommand's parsed command line.
+type partitionCmd struct {
+	load    func() *specsyn.Env
+	spec    specsyn.SearchSpec
+	timeout time.Duration
+}
+
+// parsePartition parses the partition subcommand's flags into a
+// normalized search spec; it returns the spec's error. A flag error exits
+// with the usage, as in every subcommand.
+func parsePartition(args []string) (partitionCmd, error) {
 	fs := flag.NewFlagSet("partition", flag.ExitOnError)
-	load := inputFlags(fs)
-	algo := fs.String("algo", "gm", "algorithm: random, greedy, cluster, gm, anneal, exhaustive, multi, portfolio")
-	seed := fs.Int64("seed", 1, "random seed")
-	iters := fs.Int("iters", 0, "iteration budget (0 = algorithm default)")
-	workers := fs.Int("workers", 0, "parallel workers for multi/random (0 = GOMAXPROCS)")
-	legs := fs.Int("legs", 0, "independent search legs for multi/random (0 = workers)")
-	timeout := fs.Duration("timeout", 0, "wall-clock bound; on expiry the best partition found so far is kept (0 = none)")
-	maxEvals := fs.Int("max-evals", 0, "cost-evaluation budget (0 = unlimited)")
-	share := fs.Bool("share", false, "share the incumbent across legs; anneal restarts reheat from it (a round option)")
-	roundEvals := fs.Int("round-evals", 0, "evaluations per leg per round (a round option; 0 = default)")
-	maxRounds := fs.Int("max-rounds", 0, "round cap (a round option; 0 = default)")
-	killMargin := fs.Float64("kill-margin", 0, "relative lag that kills a leg after a round (a round option; 0 = default, negative = never)")
-	swapProb := fs.Float64("swap-prob", 0, "pair-swap proposal probability for anneal legs (0 = moves only)")
+	c := partitionCmd{load: inputFlags(fs), spec: specsyn.SearchSpec{Algo: "gm", Seed: 1}}
+	c.spec.Flags(fs)
+	fs.DurationVar(&c.timeout, "timeout", 0, "wall-clock bound; on expiry the best partition found so far is kept (0 = none)")
 	var deadlines deadlineFlag
 	fs.Var(&deadlines, "deadline", "process deadline as name=microseconds (repeatable)")
 	_ = fs.Parse(args)
+	c.spec.Constraints.Deadline = deadlines.m
+	return c, c.spec.Normalize()
+}
 
-	env := load()
-	cons := partition.Constraints{Deadline: deadlines.m}
+func runPartition(args []string) {
+	c, err := parsePartition(args)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err) // the spec's error names the program already
+		os.Exit(2)
+	}
+	env := c.load()
 
 	// Ctrl-C cancels the in-flight search; the engines return their best
 	// partition found so far rather than dying, so the report below still
@@ -223,55 +231,37 @@ func runPartition(args []string) {
 	// handling, so a second Ctrl-C kills the process as usual.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if *timeout > 0 {
+	if c.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-
-	var res partition.Result
-	// "multi" and "portfolio" are the parallel engines; -workers/-legs also
-	// turn "random" into its sharded parallel form (same result, spread
-	// over a worker pool). Any round option runs "multi" in rounds, with
-	// defaults for the round options left zero.
-	if *algo == "multi" || *algo == "portfolio" || (*algo == "random" && (*workers != 0 || *legs != 0)) {
-		opt := partition.ParallelOptions{
-			Workers: *workers, Legs: *legs, Share: *share,
-			RoundEvals: *roundEvals, MaxRounds: *maxRounds, KillMargin: *killMargin,
-			SwapProb: *swapProb,
-		}
-		multi, err := env.PartitionSearchParallel(ctx, *algo, cons, partition.DefaultWeights(), *seed, *iters, *maxEvals, opt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%s: %d legs, best from leg %d\n", *algo, len(multi.Legs), multi.BestLeg)
-		if rep := multi.Report; rep.Rounds > 1 {
-			fmt.Printf("adaptive: %d rounds, %d legs killed, %d respawned\n",
-				rep.Rounds, rep.LegsKilled, rep.LegsRespawned)
-		}
-		if multi.Report.Partial || len(multi.Report.Panics) > 0 || len(multi.Report.Errors) > 0 {
-			fmt.Printf("note: %s\n", multi.Report.String())
-		}
-		res = multi.Result
-	} else {
-		var err error
-		res, err = env.PartitionSearch(ctx, *algo, cons, partition.DefaultWeights(), *seed, *iters, *maxEvals)
-		if err != nil {
-			fatal(err)
-		}
+	res, err := env.Search(ctx, c.spec)
+	if err != nil {
+		fatal(err)
 	}
 	stop()
+	algo, rep := c.spec.Algo, res.Report
+	if res.Legs != nil {
+		fmt.Printf("%s: %d legs, best from leg %d\n", algo, len(res.Legs), res.BestLeg)
+		if rep.Rounds > 1 {
+			fmt.Printf("adaptive: %d rounds, %d legs killed, %d respawned\n", rep.Rounds, rep.LegsKilled, rep.LegsRespawned)
+		}
+		if rep.Partial || len(rep.Panics) > 0 || len(rep.Errors) > 0 {
+			fmt.Printf("note: %s\n", rep.String())
+		}
+	}
 	if res.Partial {
 		fmt.Println("search interrupted — reporting best partition found so far")
 	}
-	fmt.Printf("%s: %s\n\n", *algo, res)
+	fmt.Printf("%s: %s\n\n", algo, res.Result)
 	fmt.Print(res.Best.String())
-	rep, _, err := env.Estimate(res.Best, estimate.Options{})
+	est, _, err := env.Estimate(res.Best, estimate.Options{})
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(rep.String())
+	fmt.Print(est.String())
 }
 
 func runXform(args []string) {

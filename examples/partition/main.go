@@ -63,7 +63,7 @@ func main() {
 	fmt.Printf("%-10s %10s %10s %12s %10s\n", "algorithm", "cost", "evals", "designs/s", "feasible")
 	for _, algo := range []string{"random", "greedy", "cluster", "gm", "anneal"} {
 		start := time.Now()
-		res, err := env.PartitionSearch(context.Background(), algo, cons, partition.DefaultWeights(), 42, 0, 0)
+		res, err := env.Search(context.Background(), specsyn.SearchSpec{Algo: algo, Constraints: cons, Seed: 42})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func main() {
 	}
 
 	// Show the winning mapping in detail.
-	res, err := env.PartitionSearch(context.Background(), "gm", cons, partition.DefaultWeights(), 42, 0, 0)
+	res, err := env.Search(context.Background(), specsyn.SearchSpec{Algo: "gm", Constraints: cons, Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}

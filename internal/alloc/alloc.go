@@ -247,12 +247,6 @@ func (c Candidate) install(g *core.Graph) *core.Graph {
 	return ng
 }
 
-// sortOutcomes ranks by cost; skipped candidates (cost +Inf) sink to the
-// bottom in their original order.
-func sortOutcomes(outcomes []Outcome) {
-	sort.SliceStable(outcomes, func(i, j int) bool { return outcomes[i].Cost < outcomes[j].Cost })
-}
-
 // Explore partitions the design under every candidate allocation (using
 // the greedy constructive algorithm followed by group migration) and
 // returns outcomes sorted by cost. This is the allocation task driven by
@@ -261,38 +255,13 @@ func sortOutcomes(outcomes []Outcome) {
 // marks the remaining candidates Skipped — the outcomes for completed
 // candidates are always returned.
 func Explore(ctx context.Context, g *core.Graph, cands []Candidate, cons partition.Constraints, w partition.Weights) []Outcome {
-	outcomes := make([]Outcome, 0, len(cands))
-	for _, cand := range cands {
-		out := Outcome{Candidate: cand, Cost: math.Inf(1)}
-		if ctx != nil && ctx.Err() != nil {
-			out.Err = ctx.Err()
-			out.Partial, out.Skipped = true, true
-			outcomes = append(outcomes, out)
-			continue
-		}
-		ng := cand.install(g)
-		if len(ng.Buses) == 0 {
-			out.Err = fmt.Errorf("alloc: candidate %q has no bus", cand.Name)
-			outcomes = append(outcomes, out)
-			continue
-		}
-		ev := partition.NewEvaluator(ng, cons, w, estimate.Options{})
-		cfg := partition.Config{Eval: ev, Policy: partition.SingleBus(ng.Buses[0]), Seed: 1}
+	return explore(ctx, g, cands, cons, w, func(ng *core.Graph, cfg partition.Config, _ *Outcome) (partition.Result, error) {
 		res, err := partition.Greedy(ctx, ng, cfg)
 		if err == nil && !res.Partial {
 			res, err = partition.GroupMigration(ctx, res.Best, cfg)
 		}
-		if err != nil {
-			out.Err = err
-		} else {
-			out.Cost = res.Cost
-			out.Evals = ev.Evals
-			out.Partial = res.Partial
-		}
-		outcomes = append(outcomes, out)
-	}
-	sortOutcomes(outcomes)
-	return outcomes
+		return res, err
+	})
 }
 
 // ExploreParallel is Explore with each candidate partitioned by the
@@ -307,45 +276,47 @@ func Explore(ctx context.Context, g *core.Graph, cands []Candidate, cons partiti
 // candidates' outcomes, a Partial outcome for the interrupted one, and
 // Skipped outcomes (cost +Inf) for the rest.
 func ExploreParallel(ctx context.Context, g *core.Graph, cands []Candidate, cons partition.Constraints, w partition.Weights, opt partition.ParallelOptions) []Outcome {
+	return explore(ctx, g, cands, cons, w, func(ng *core.Graph, cfg partition.Config, out *Outcome) (partition.Result, error) {
+		multi, err := partition.MultiStart(ctx, ng, cfg, opt)
+		if err != nil {
+			return multi.Result, err
+		}
+		out.Report = &multi.Report
+		if multi.Partial {
+			return multi.Result, nil
+		}
+		polished, err := partition.GroupMigration(ctx, multi.Best, cfg)
+		if err == nil && polished.Cost < multi.Cost {
+			return polished, nil
+		}
+		return multi.Result, err
+	})
+}
+
+// explore runs search on every candidate allocation in turn, with the
+// bus policy partition.DefaultPolicy picks for it, and ranks the outcomes
+// by cost; skipped candidates (cost +Inf) sink to the bottom in their
+// original order.
+func explore(ctx context.Context, g *core.Graph, cands []Candidate, cons partition.Constraints, w partition.Weights,
+	search func(ng *core.Graph, cfg partition.Config, out *Outcome) (partition.Result, error)) []Outcome {
 	outcomes := make([]Outcome, 0, len(cands))
 	for _, cand := range cands {
 		out := Outcome{Candidate: cand, Cost: math.Inf(1)}
 		if ctx != nil && ctx.Err() != nil {
-			out.Err = ctx.Err()
-			out.Partial, out.Skipped = true, true
-			outcomes = append(outcomes, out)
-			continue
-		}
-		ng := cand.install(g)
-		if len(ng.Buses) == 0 {
+			out.Err, out.Partial, out.Skipped = ctx.Err(), true, true
+		} else if ng := cand.install(g); len(ng.Buses) == 0 {
 			out.Err = fmt.Errorf("alloc: candidate %q has no bus", cand.Name)
-			outcomes = append(outcomes, out)
-			continue
-		}
-		ev := partition.NewEvaluator(ng, cons, w, estimate.Options{})
-		cfg := partition.Config{Eval: ev, Policy: partition.SingleBus(ng.Buses[0]), Seed: 1}
-		multi, err := partition.MultiStart(ctx, ng, cfg, opt)
-		res := multi.Result
-		if err == nil {
-			rep := multi.Report
-			out.Report = &rep
-			if !res.Partial {
-				var polished partition.Result
-				polished, err = partition.GroupMigration(ctx, multi.Best, cfg)
-				if err == nil && polished.Cost < res.Cost {
-					res = polished
-				}
-			}
-		}
-		if err != nil {
-			out.Err = err
 		} else {
-			out.Cost = res.Cost
-			out.Evals = ev.Evals
-			out.Partial = res.Partial
+			ev := partition.NewEvaluator(ng, cons, w, estimate.Options{})
+			res, err := search(ng, partition.Config{Eval: ev, Policy: partition.DefaultPolicy(ng), Seed: 1}, &out)
+			if err != nil {
+				out.Err = err
+			} else {
+				out.Cost, out.Evals, out.Partial = res.Cost, ev.Evals, res.Partial
+			}
 		}
 		outcomes = append(outcomes, out)
 	}
-	sortOutcomes(outcomes)
+	sort.SliceStable(outcomes, func(i, j int) bool { return outcomes[i].Cost < outcomes[j].Cost })
 	return outcomes
 }

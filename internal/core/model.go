@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -391,7 +392,9 @@ func (g *Graph) Components() []Component {
 
 // Validate checks structural invariants of the graph itself (not of a
 // partition): channel endpoints are present, sources are behaviors,
-// annotations are non-negative, and channel keys are unique.
+// annotations are finite and, but for AccMin and AccMax, non-negative,
+// and channel keys are unique. A non-finite annotation would turn every
+// estimate that reads it into +Inf or NaN, so a build refuses it.
 func (g *Graph) Validate() error {
 	// Dedupe on the (src, dst) name pair rather than Key(): building the
 	// "src->dst" string for every channel dominates validation on large
@@ -406,8 +409,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("slif: duplicate channel %s", c.Key())
 		}
 		seen[k] = true
-		if c.AccFreq < 0 || c.Bits < 0 {
-			return fmt.Errorf("slif: channel %s has negative annotation", c.Key())
+		if c.AccFreq < 0 || c.Bits < 0 || !finite(c.AccFreq) || !finite(c.AccMin) || !finite(c.AccMax) {
+			return fmt.Errorf("slif: channel %s has a negative or non-finite annotation", c.Key())
 		}
 		if c.AccMax != 0 && c.AccMax < c.AccMin {
 			return fmt.Errorf("slif: channel %s has accmax < accmin", c.Key())
@@ -415,13 +418,13 @@ func (g *Graph) Validate() error {
 	}
 	for _, n := range g.Nodes {
 		for t, v := range n.ICT {
-			if v < 0 {
-				return fmt.Errorf("slif: node %s has negative ict on %s", n.Name, t)
+			if v < 0 || !finite(v) {
+				return fmt.Errorf("slif: node %s has negative or non-finite ict on %s", n.Name, t)
 			}
 		}
 		for t, v := range n.Size {
-			if v < 0 {
-				return fmt.Errorf("slif: node %s has negative size on %s", n.Name, t)
+			if v < 0 || !finite(v) {
+				return fmt.Errorf("slif: node %s has negative or non-finite size on %s", n.Name, t)
 			}
 		}
 	}
@@ -435,6 +438,9 @@ func (g *Graph) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 
 // Reindex rebuilds every internal lookup map (name → node/port, channel
 // key, per-node adjacency) from the graph's slices. The Add/Remove helpers

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 )
 
@@ -127,6 +128,28 @@ func TestValidateCatchesBadAnnotations(t *testing.T) {
 		t.Error("negative ict accepted")
 	}
 	g.NodeByName("main").SetICT("proc10", 10)
+
+	// Non-finite annotations are refused; each setter restores the
+	// tiny graph's value when given 0.
+	c, main := g.FindChannel("main", "v"), g.NodeByName("main")
+	for _, bad := range []struct {
+		what string
+		set  func(float64)
+	}{
+		{"accfreq", func(x float64) { c.AccFreq = 1 + x }},
+		{"accmin", func(x float64) { c.AccMin = 1 + x }},
+		{"accmax", func(x float64) { c.AccMax = 1 + x }},
+		{"ict", func(x float64) { main.SetICT("proc10", 10+x) }},
+		{"size", func(x float64) { main.SetSize("proc10", 100+x) }},
+	} {
+		for _, x := range []float64{math.NaN(), math.Inf(1)} {
+			bad.set(x)
+			if err := g.Validate(); err == nil {
+				t.Errorf("%s %v accepted", bad.what, x)
+			}
+			bad.set(0)
+		}
+	}
 
 	g.Buses[0].BitWidth = 0
 	if err := g.Validate(); err == nil {

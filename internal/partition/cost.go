@@ -309,6 +309,17 @@ func InternalExternal(internal, external *core.Bus) BusPolicy {
 	return BusPolicy{internal, external}
 }
 
+// DefaultPolicy is the bus policy every search front end uses for g's
+// allocation: a single bus carries everything; with two or more buses the
+// first is the external (inter-component) bus and the second the
+// internal one. g must have at least one bus.
+func DefaultPolicy(g *core.Graph) BusPolicy {
+	if len(g.Buses) > 1 {
+		return InternalExternal(g.Buses[1], g.Buses[0])
+	}
+	return SingleBus(g.Buses[0])
+}
+
 // ApplyBusPolicy rewrites the partition's channel mapping per the policy.
 func ApplyBusPolicy(pt *core.Partition, policy BusPolicy) error {
 	if policy.Internal == nil || policy.External == nil {

@@ -55,9 +55,6 @@ type ParallelOptions struct {
 	// leg at a round barrier; 0 means 0.25 in round mode, negative
 	// disables killing.
 	KillMargin float64
-	// SwapProb is copied into Config.SwapProb for every anneal leg,
-	// enabling pair-swap proposals (see Config.SwapProb).
-	SwapProb float64
 }
 
 func (o ParallelOptions) workers() int {

@@ -124,7 +124,9 @@ func TestMultiStartLegsMatchDirectCalls(t *testing.T) {
 				for _, iters := range []int{0, 3, 200} {
 					for _, workers := range []int{1, 3} {
 						label := fmt.Sprintf("swap=%v legs=%d maxEvals=%d iters=%d workers=%d", swap, nLegs, maxEvals, iters, workers)
-						res, err := MultiStart(ctx, g, mk(maxEvals, iters), ParallelOptions{Workers: workers, Legs: nLegs, SwapProb: swap})
+						run := mk(maxEvals, iters)
+						run.SwapProb = swap
+						res, err := MultiStart(ctx, g, run, ParallelOptions{Workers: workers, Legs: nLegs})
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}

@@ -66,9 +66,6 @@ func runStrands(ctx context.Context, g *core.Graph, cfg Config, opt ParallelOpti
 	if cfg.Eval == nil {
 		return MultiResult{}, fmt.Errorf("partition: parallel search needs Config.Eval")
 	}
-	if opt.SwapProb > 0 && cfg.SwapProb == 0 {
-		cfg.SwapProb = opt.SwapProb
-	}
 	nLegs := len(strands)
 	for i, s := range strands {
 		s.idx, s.cost = i, math.Inf(1)

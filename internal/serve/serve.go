@@ -21,6 +21,7 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -607,7 +608,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 // SearchRequest runs one partition-search algorithm on the session.
 type SearchRequest struct {
-	Algo      string `json:"algo"`           // random, greedy, cluster, gm, anneal, exhaustive
+	Algo      string `json:"algo"`           // a search preset (specsyn.SearchSpec); "" means greedy
 	Seed      int64  `json:"seed,omitempty"` // 0 is a valid, deterministic seed
 	Iters     int    `json:"iters,omitempty"`
 	MaxEvals  int    `json:"max_evals,omitempty"`
@@ -626,50 +627,84 @@ type SearchResponse struct {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	var req SearchRequest
+	if out, ok := s.search(w, r, &req); ok {
+		s.writeJSON(w, http.StatusOK, SearchResponse{
+			ID: out.id, Algo: out.spec.Algo, Cost: out.res.Cost, Evals: out.res.Report.Evals,
+			Partial: out.res.Report.Partial, Assignment: out.assignment, SearchMs: out.ms,
+		})
+	}
+}
+
+func (q *SearchRequest) spec() (specsyn.SearchSpec, int) {
+	return specsyn.SearchSpec{Algo: cmp.Or(q.Algo, "greedy"), Seed: q.Seed, Iters: q.Iters, MaxEvals: q.MaxEvals}, q.TimeoutMs
+}
+
+// searchBody is a decoded /search or /explore body.
+type searchBody interface {
+	spec() (specsyn.SearchSpec, int)
+}
+
+// searched is one search's outcome, ready for either response shape.
+type searched struct {
+	id         string
+	spec       specsyn.SearchSpec
+	res        partition.MultiResult
+	assignment map[string]string
+	ms         float64
+}
+
+// search decodes a search body into req, normalizes its spec — a bad
+// body is refused with 400 before it takes a slot — and runs it on a
+// snapshot of the session, under the server's deadline and eval cap.
+func (s *Server) search(w http.ResponseWriter, r *http.Request, req searchBody) (searched, bool) {
 	sess, ok := s.lookup(w, r)
 	if !ok {
-		return
+		return searched{}, false
 	}
-	var req SearchRequest
-	if err := readJSON(r, &req); err != nil {
+	if err := readJSON(r, req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		return
+		return searched{}, false
 	}
-	if req.Algo == "" {
-		req.Algo = "greedy"
+	spec, timeoutMs := req.spec()
+	if err := spec.Normalize(); err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return searched{}, false
 	}
-	ctx, cancel := s.deadline(r, req.TimeoutMs)
+	spec.MaxEvals = s.budget(spec.MaxEvals)
+	ctx, cancel := s.deadline(r, timeoutMs)
 	defer cancel()
 	release, ok := s.admit(ctx, sess, w)
 	if !ok {
-		return
+		return searched{}, false
 	}
 	defer release()
 
 	env := sess.snapshot()
 	start := time.Now()
-	res, err := env.PartitionSearch(ctx, req.Algo, partition.Constraints{},
-		partition.DefaultWeights(), req.Seed, req.Iters, s.budget(req.MaxEvals))
+	res, err := env.Search(ctx, spec)
 	if err != nil {
 		s.writeError(w, http.StatusUnprocessableEntity, err)
-		return
+		return searched{}, false
 	}
-	s.metrics.evals.Add(int64(res.Evals))
+	s.metrics.evals.Add(int64(res.Report.Evals))
+	s.metrics.rounds.Add(int64(res.Report.Rounds))
+	s.metrics.legsKilled.Add(int64(res.Report.LegsKilled))
+	s.metrics.legsRespawned.Add(int64(res.Report.LegsRespawned))
 	if res.Best == nil {
 		s.writeError(w, http.StatusUnprocessableEntity,
 			errors.New("search stopped before evaluating any partition (deadline or budget too tight)"))
-		return
+		return searched{}, false
 	}
-	s.writeJSON(w, http.StatusOK, SearchResponse{
-		ID: sess.id, Algo: req.Algo, Cost: res.Cost, Evals: res.Evals,
-		Partial: res.Partial, Assignment: assignment(&env, res.Best),
-		SearchMs: float64(time.Since(start).Microseconds()) / 1000,
-	})
+	return searched{sess.id, spec, res, assignment(&env, res.Best),
+		float64(time.Since(start).Microseconds()) / 1000}, true
 }
 
-// ExploreRequest runs the parallel multi-start engine on the session.
+// ExploreRequest runs a search with the multi-leg engine's options on the
+// session. Its limits are specsyn's: LegLimit legs, RoundLimit rounds and
+// RoundEvalsLimit round_evals.
 type ExploreRequest struct {
-	Algo      string `json:"algo,omitempty"` // multi (default), random or portfolio
+	Algo      string `json:"algo,omitempty"` // a search preset; "" means multi
 	Seed      int64  `json:"seed,omitempty"`
 	Legs      int    `json:"legs,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
@@ -683,16 +718,6 @@ type ExploreRequest struct {
 	MaxRounds  int     `json:"max_rounds,omitempty"`
 	KillMargin float64 `json:"kill_margin,omitempty"`
 }
-
-// Fixed bounds on one explore request. The engine allocates per leg and
-// per round, so an unbounded count could exhaust memory, which recover
-// cannot contain. A round's evaluation quota is bounded too, so no
-// request can deal a quota that means unlimited.
-const (
-	maxExploreLegs       = 256
-	maxExploreRounds     = 1024
-	maxExploreRoundEvals = 1 << 20
-)
 
 // ExploreResponse reports the merged portfolio result.
 type ExploreResponse struct {
@@ -714,71 +739,26 @@ type ExploreResponse struct {
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
 	var req ExploreRequest
-	if err := readJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Algo == "" {
-		req.Algo = "multi"
-	}
-	// Legs default to workers, so the leg count is fixed before workers
-	// is clamped to the host: clamping then changes only scheduling,
-	// never the result.
-	if req.Legs == 0 {
-		req.Legs = req.Workers
-	}
-	if req.Legs > maxExploreLegs || req.MaxRounds > maxExploreRounds || req.RoundEvals > maxExploreRoundEvals {
-		s.writeError(w, http.StatusBadRequest, fmt.Errorf("explore allows at most %d legs, %d rounds and %d round_evals",
-			maxExploreLegs, maxExploreRounds, maxExploreRoundEvals))
-		return
-	}
-	req.Workers = min(req.Workers, runtime.GOMAXPROCS(0))
-	ctx, cancel := s.deadline(r, req.TimeoutMs)
-	defer cancel()
-	release, ok := s.admit(ctx, sess, w)
+	out, ok := s.search(w, r, &req)
 	if !ok {
 		return
 	}
-	defer release()
-
-	env := sess.snapshot()
-	start := time.Now()
-	res, err := env.PartitionSearchParallel(ctx, req.Algo, partition.Constraints{},
-		partition.DefaultWeights(), req.Seed, req.Iters, s.budget(req.MaxEvals),
-		partition.ParallelOptions{
-			Workers: req.Workers, Legs: req.Legs, Share: req.Share,
-			RoundEvals: req.RoundEvals, MaxRounds: req.MaxRounds, KillMargin: req.KillMargin,
-		})
-	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	s.metrics.evals.Add(int64(res.Report.Evals))
-	s.metrics.rounds.Add(int64(res.Report.Rounds))
-	s.metrics.legsKilled.Add(int64(res.Report.LegsKilled))
-	s.metrics.legsRespawned.Add(int64(res.Report.LegsRespawned))
-	if res.Best == nil {
-		s.writeError(w, http.StatusUnprocessableEntity,
-			errors.New("explore stopped before evaluating any partition (deadline or budget too tight)"))
-		return
-	}
+	rep := out.res.Report
 	s.writeJSON(w, http.StatusOK, ExploreResponse{
-		ID: sess.id, Algo: req.Algo, Cost: res.Cost, Evals: res.Report.Evals,
-		Partial: res.Report.Partial, BestLeg: res.BestLeg,
-		LegsPlanned: res.Report.LegsPlanned, LegsCompleted: res.Report.LegsCompleted,
-		Panics:        len(res.Report.Panics),
-		Rounds:        res.Report.Rounds,
-		LegsKilled:    res.Report.LegsKilled,
-		LegsRespawned: res.Report.LegsRespawned,
-		Curve:         res.Report.Curve,
-		Assignment:    assignment(&env, res.Best),
-		SearchMs:      float64(time.Since(start).Microseconds()) / 1000,
+		ID: out.id, Algo: out.spec.Algo, Cost: out.res.Cost, Evals: rep.Evals,
+		Partial: rep.Partial, BestLeg: out.res.BestLeg,
+		LegsPlanned: rep.LegsPlanned, LegsCompleted: rep.LegsCompleted,
+		Panics: len(rep.Panics), Rounds: rep.Rounds,
+		LegsKilled: rep.LegsKilled, LegsRespawned: rep.LegsRespawned,
+		Curve: rep.Curve, Assignment: out.assignment, SearchMs: out.ms,
 	})
+}
+
+func (q *ExploreRequest) spec() (specsyn.SearchSpec, int) {
+	return specsyn.SearchSpec{Algo: q.Algo, Seed: q.Seed, Iters: q.Iters, MaxEvals: q.MaxEvals,
+		ParallelOptions: partition.ParallelOptions{Workers: q.Workers, Legs: q.Legs, Share: q.Share,
+			RoundEvals: q.RoundEvals, MaxRounds: q.MaxRounds, KillMargin: q.KillMargin}}, q.TimeoutMs
 }
 
 // assignment flattens a partition to node-name → component-name, the JSON

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"specsyn/internal/faultinject"
+	"specsyn/internal/specsyn"
 	"specsyn/internal/store"
 	"specsyn/internal/vhdl"
 )
@@ -267,12 +268,9 @@ func TestServerDeepNesting(t *testing.T) {
 	buildDesign(t, ts, "fuzzy", "fuzzy")
 }
 
-// TestServerNonFiniteEstimate: 34 nested two-billion-trip loops build
-// fine, but the process's execution time overflows to +Inf and the bus
-// bitrate to NaN, which JSON cannot carry. The estimate must not answer
-// 2xx with an undecodable body; it is a counted server failure.
-func TestServerNonFiniteEstimate(t *testing.T) {
-	const depth = 34
+// deepLoops is one process nesting depth two-billion-trip loops around
+// one assignment.
+func deepLoops(depth int) string {
 	var b strings.Builder
 	b.WriteString("entity E is end;\narchitecture x of E is begin\nP: process\nvariable v : integer;\nbegin\n")
 	for i := 0; i < depth; i++ {
@@ -281,10 +279,17 @@ func TestServerNonFiniteEstimate(t *testing.T) {
 	b.WriteString("v := v + 1;\n")
 	b.WriteString(strings.Repeat("end loop;\n", depth))
 	b.WriteString("wait;\nend process;\nend;\n")
+	return b.String()
+}
 
+// TestServerNonFiniteEstimate: 33 nested two-billion-trip loops build
+// fine, since every annotation is finite, but the bus bitrate overflows
+// to +Inf, which JSON cannot carry. The estimate must not answer 2xx with
+// an undecodable body; it is a counted server failure.
+func TestServerNonFiniteEstimate(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
-	if code := postJSON(t, ts.Client(), ts.URL+"/v1/designs/deep/build", BuildRequest{VHDL: b.String()}, nil); code != http.StatusOK {
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/designs/deep/build", BuildRequest{VHDL: deepLoops(33)}, nil); code != http.StatusOK {
 		t.Fatalf("build: status %d", code)
 	}
 	before := s0(ts, t).Failures
@@ -300,6 +305,30 @@ func TestServerNonFiniteEstimate(t *testing.T) {
 	if after := s0(ts, t).Failures; after <= before {
 		t.Errorf("estimate of a non-finite report: status %d, failures %d -> %d, want a counted failure",
 			resp.StatusCode, before, after)
+	}
+}
+
+// TestServerNonFiniteBuild: at 34 nested two-billion-trip loops the
+// channel's access frequency, (2e9)^34, overflows to +Inf. The build
+// refuses the non-finite annotation with a 422 that names its position
+// in the source, and counts no server failure.
+func TestServerNonFiniteBuild(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	body, _ := json.Marshal(BuildRequest{VHDL: deepLoops(34)})
+	resp, err := ts.Client().Post(ts.URL+"/v1/designs/deep/build", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct{ Error string }
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "3:4: slif: channel p->v") ||
+		!strings.Contains(e.Error, "non-finite") {
+		t.Fatalf("build of a non-finite annotation: status %d, error %q; want 422 naming 3:4 and the channel", resp.StatusCode, e.Error)
+	}
+	if st := s0(ts, t); st.Failures != 0 {
+		t.Errorf("refused build counted as a server failure: %+v", st)
 	}
 }
 
@@ -332,7 +361,7 @@ func TestServerExploreBounds(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
 		}
-		if !strings.Contains(body, "adaptive") && !strings.Contains(string(msg), fmt.Sprint(maxExploreLegs)) {
+		if !strings.Contains(body, "adaptive") && !strings.Contains(string(msg), fmt.Sprint(specsyn.LegLimit)) {
 			t.Errorf("%s: error %s does not name the limits", body, msg)
 		}
 		if d := time.Since(start); d > 5*time.Second {

@@ -11,11 +11,11 @@ package shell
 import (
 	"bufio"
 	"context"
+	"flag"
 	"fmt"
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -36,6 +36,8 @@ type Session struct {
 	// into in-flight searches. Nil means context.Background(). A `search`
 	// with a trailing timeout argument layers a deadline on top.
 	NewSearchCtx func() (context.Context, context.CancelFunc)
+	// LastSearch is the result of the last search command that ran.
+	LastSearch partition.MultiResult
 
 	history []*core.Partition // undo stack of partition snapshots
 	out     io.Writer
@@ -121,16 +123,20 @@ func (s *Session) cmdHelp() error {
   mapall <component>              move everything to one processor
   est                             full size/pin/bitrate/performance report
   explain <behavior>              where that behavior's exec time goes
-  search <random|greedy|cluster|gm|anneal> [timeout]
-                                  replace the partition with a searched one;
-                                  an optional Go duration (e.g. 500ms) bounds
+  search [algo] [legs] [flags] [timeout]
+                                  replace the partition with a searched one.
+                                  algo: random, greedy, cluster, gm (default),
+                                  anneal, exhaustive, multi (parallel
+                                  multi-start, legs default to GOMAXPROCS) or
+                                  portfolio (multi in rounds with incumbent
+                                  sharing and kill/respawn of lagging legs;
+                                  prints round counters). flags are the
+                                  partition subcommand's -seed (default 1),
+                                  -iters, -max-evals, -workers, -legs, -share,
+                                  -round-evals, -max-rounds, -kill-margin and
+                                  -swap-prob, with its defaults and limits.
+                                  An optional Go duration (e.g. 500ms) bounds
                                   the search, keeping the best found so far
-  search multi [legs] [timeout]   parallel multi-start portfolio (default
-                                  legs = GOMAXPROCS), same optional timeout
-  search portfolio [legs] [timeout]
-                                  adaptive portfolio: round-based scheduling
-                                  with incumbent sharing and kill/respawn of
-                                  lagging legs; prints round counters
   reload <file.vhd>               re-read an edited specification; the SLIF
                                   graph is rebuilt incrementally (only the
                                   edited behaviors and their dependents)
@@ -301,47 +307,49 @@ func (s *Session) cmdSearch(args []string) error {
 			args = args[:len(args)-1]
 		}
 	}
-	algo := "gm"
-	if len(args) > 0 {
-		algo = strings.ToLower(args[0])
+	// The partition subcommand's search flags; an algorithm and a bare
+	// leg count may come first.
+	spec := specsyn.SearchSpec{Algo: "gm", Seed: 1}
+	fs := flag.NewFlagSet("search", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	spec.Flags(fs)
+	err := fs.Parse(args)
+	for _, name := range []string{"algo", "legs"} {
+		if err == nil && fs.NArg() > 0 {
+			if err = fs.Set(name, strings.ToLower(fs.Arg(0))); err == nil {
+				err = fs.Parse(fs.Args()[1:])
+			}
+		}
+	}
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected %q", fs.Arg(0))
+	}
+	if err == nil {
+		err = spec.Normalize()
+	}
+	if err != nil {
+		return fmt.Errorf("usage: search %s [legs] [flags] [timeout]: %w", spec.Algo, err)
 	}
 	ctx, cancel := s.searchCtx(timeout)
 	defer cancel()
-	if algo == "multi" || algo == "portfolio" {
-		opt := partition.ParallelOptions{}
-		if algo == "portfolio" {
-			opt.Share = true
-		}
-		if len(args) > 1 {
-			legs, err := strconv.Atoi(args[1])
-			if err != nil || legs < 1 {
-				return fmt.Errorf("usage: search %s [legs] [timeout]", algo)
-			}
-			opt.Legs = legs
-		}
-		res, err := s.Env.PartitionSearchParallel(ctx, algo, partition.Constraints{}, partition.DefaultWeights(), 1, 0, 0, opt)
-		if err != nil {
-			return err
-		}
-		s.snapshot()
-		s.Pt = res.Best
-		fmt.Fprintf(s.out, "%s: %s (%d legs, best from leg %d)\n", algo, res.Result, len(res.Legs), res.BestLeg)
-		if rep := res.Report; rep.Rounds > 1 {
-			fmt.Fprintf(s.out, "adaptive: %d rounds, %d legs killed, %d respawned\n",
-				rep.Rounds, rep.LegsKilled, rep.LegsRespawned)
-		}
-		if res.Report.Partial {
-			fmt.Fprintf(s.out, "note: search interrupted — %s\n", res.Report.String())
-		}
-		return nil
-	}
-	res, err := s.Env.PartitionSearch(ctx, algo, partition.Constraints{}, partition.DefaultWeights(), 1, 0, 0)
+	res, err := s.Env.Search(ctx, spec)
 	if err != nil {
 		return err
 	}
 	s.snapshot()
-	s.Pt = res.Best
-	fmt.Fprintf(s.out, "%s: %s\n", algo, res)
+	s.Pt, s.LastSearch = res.Best, res
+	fmt.Fprintf(s.out, "%s: %s", spec.Algo, res.Result)
+	if res.Legs != nil {
+		fmt.Fprintf(s.out, " (%d legs, best from leg %d)", len(res.Legs), res.BestLeg)
+	}
+	fmt.Fprintln(s.out)
+	if rep := res.Report; rep.Rounds > 1 {
+		fmt.Fprintf(s.out, "adaptive: %d rounds, %d legs killed, %d respawned\n",
+			rep.Rounds, rep.LegsKilled, rep.LegsRespawned)
+	}
+	if res.Legs != nil && res.Report.Partial {
+		fmt.Fprintf(s.out, "note: search interrupted — %s\n", res.Report.String())
+	}
 	return nil
 }
 

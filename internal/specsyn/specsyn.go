@@ -6,7 +6,6 @@
 package specsyn
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"time"
@@ -15,7 +14,6 @@ import (
 	"specsyn/internal/builder"
 	"specsyn/internal/core"
 	"specsyn/internal/estimate"
-	"specsyn/internal/partition"
 	"specsyn/internal/profile"
 	"specsyn/internal/sem"
 	"specsyn/internal/vhdl"
@@ -215,103 +213,4 @@ func (e *Env) Estimate(pt *core.Partition, opt estimate.Options) (*estimate.Repo
 	start := time.Now()
 	rep, err := estimate.New(e.Graph, pt, opt).Report()
 	return rep, time.Since(start), err
-}
-
-// searchConfig assembles the evaluator and bus policy every search shares.
-func (e *Env) searchConfig(cons partition.Constraints, w partition.Weights, seed int64, iters int) (partition.Config, error) {
-	if e.Graph == nil {
-		return partition.Config{}, fmt.Errorf("specsyn: Build first")
-	}
-	if len(e.Graph.Buses) == 0 {
-		return partition.Config{}, fmt.Errorf("specsyn: allocation has no bus")
-	}
-	ev := partition.NewEvaluator(e.Graph, cons, w, estimate.Options{})
-	if e.depsCache != nil {
-		if deps, err := e.depsCache.For(e.Graph); err == nil {
-			// Pre-seed the evaluator with the session-cached compiled state;
-			// on a cache error the evaluator compiles (and reports) itself.
-			ev.UseDeps(deps)
-		}
-	}
-	// Single-bus allocations put everything on that bus; with two or more
-	// buses the first is the external (inter-component) bus and the second
-	// the internal one, re-derived after every move.
-	policy := partition.SingleBus(e.Graph.Buses[0])
-	if len(e.Graph.Buses) > 1 {
-		policy = partition.InternalExternal(e.Graph.Buses[1], e.Graph.Buses[0])
-	}
-	return partition.Config{
-		Eval:     ev,
-		Policy:   policy,
-		Seed:     seed,
-		MaxIters: iters,
-	}, nil
-}
-
-// PartitionSearch runs the named algorithm ("random", "greedy", "gm",
-// "anneal", "cluster", "exhaustive"); "gm" and "anneal" start from the
-// greedy result. The context bounds the whole run: on cancellation or
-// deadline the algorithm returns its best-so-far result with Partial set.
-// maxEvals (0 = unlimited) caps the cost evaluations spent.
-func (e *Env) PartitionSearch(ctx context.Context, algo string, cons partition.Constraints, w partition.Weights, seed int64, iters, maxEvals int) (partition.Result, error) {
-	cfg, err := e.searchConfig(cons, w, seed, iters)
-	if err != nil {
-		return partition.Result{}, err
-	}
-	cfg.MaxEvals = maxEvals
-	switch algo {
-	case "random":
-		return partition.Random(ctx, e.Graph, cfg)
-	case "greedy":
-		return partition.Greedy(ctx, e.Graph, cfg)
-	case "cluster":
-		return partition.ClusterGreedy(ctx, e.Graph, cfg)
-	case "exhaustive":
-		return partition.Exhaustive(ctx, e.Graph, cfg)
-	case "gm":
-		res, err := partition.Greedy(ctx, e.Graph, cfg)
-		if err != nil || res.Partial {
-			return res, err
-		}
-		return partition.GroupMigration(ctx, res.Best, cfg)
-	case "anneal":
-		res, err := partition.Greedy(ctx, e.Graph, cfg)
-		if err != nil || res.Partial {
-			return res, err
-		}
-		return partition.Anneal(ctx, res.Best, cfg)
-	}
-	return partition.Result{}, fmt.Errorf("specsyn: unknown algorithm %q (want random, greedy, cluster, gm, anneal or exhaustive)", algo)
-}
-
-// PartitionSearchParallel runs the parallel multi-start engine. The
-// algorithm names are presets over one engine: "random" shards the random
-// candidate enumeration across legs (bit-identical to the sequential
-// Random at equal seeds; only Workers and Legs are read from opt), "multi"
-// (or "") runs the mixed greedy/anneal/random portfolio with opt as given,
-// and "portfolio" runs the same mix in rounds (incumbent tracking, laggard
-// kill/respawn, anytime curve), filling in 256 evals per leg per round and
-// 8 rounds where opt leaves them zero. The result is deterministic for a
-// given seed and leg count, whatever the worker count.
-func (e *Env) PartitionSearchParallel(ctx context.Context, algo string, cons partition.Constraints, w partition.Weights, seed int64, iters, maxEvals int, opt partition.ParallelOptions) (partition.MultiResult, error) {
-	cfg, err := e.searchConfig(cons, w, seed, iters)
-	if err != nil {
-		return partition.MultiResult{}, err
-	}
-	cfg.MaxEvals = maxEvals
-	switch algo {
-	case "random":
-		return partition.ParallelRandom(ctx, e.Graph, cfg, opt)
-	case "multi", "":
-		return partition.MultiStart(ctx, e.Graph, cfg, opt)
-	case "portfolio":
-		if opt.RoundEvals == 0 {
-			opt.RoundEvals = 256
-		}
-		if opt.MaxRounds == 0 {
-			opt.MaxRounds = 8
-		}
-		return partition.MultiStart(ctx, e.Graph, cfg, opt)
-	}
-	return partition.MultiResult{}, fmt.Errorf("specsyn: unknown parallel algorithm %q (want random, multi or portfolio)", algo)
 }
