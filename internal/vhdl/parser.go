@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // A ParseError describes a syntax error with its position.
@@ -18,12 +17,32 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg)
 // Parser is a recursive-descent parser for the VHDL subset. It records all
 // errors it encounters and synchronizes on semicolons, so one syntax error
 // does not hide later ones.
+//
+// Tokens stream in from a Lexer: the parser never holds more than the
+// current token and the two after it, its deepest lookahead (a label, its
+// colon, and the loop keyword that follows).
 type Parser struct {
-	toks   []Token
-	i      int
-	depth  int  // current statement/expression/declaration nesting
-	halted bool // nesting limit hit: the rest of the input is skipped
+	lex    *Lexer
+	ring   [4]Token // tokens n, n+1 and n+2 sit at ring[n&3], ...
+	n      int      // tokens consumed so far
+	depth  int      // current statement/expression/declaration nesting
+	halted bool     // nesting limit hit: the rest of the input is skipped
 	Errors []*ParseError
+
+	a     arena
+	stmts stack[Stmt]
+	exprs stack[Expr]
+	decls stack[Decl]
+	ids   stack[string]
+}
+
+// newParser returns a parser at the first token of src.
+func newParser(src string) *Parser {
+	p := &Parser{lex: NewLexer(src)}
+	for i := 0; i < 3; i++ {
+		p.ring[i] = p.lex.Next()
+	}
+	return p
 }
 
 // maxNesting bounds statement, expression and declaration nesting. Real
@@ -38,7 +57,7 @@ func (p *Parser) enter() bool {
 	if p.depth == maxNesting {
 		p.errorf(p.cur().Pos, "nesting deeper than %d levels", maxNesting)
 		p.halted = true
-		p.i = len(p.toks) - 1
+		p.skipToEOF()
 		return false
 	}
 	p.depth++
@@ -47,26 +66,24 @@ func (p *Parser) enter() bool {
 
 func (p *Parser) leave() { p.depth-- }
 
-var tokPool = sync.Pool{New: func() any { return new([]Token) }}
+// skipToEOF lexes the rest of the input, so its lexical errors are still
+// reported, and leaves the parser at EOF.
+func (p *Parser) skipToEOF() {
+	t := p.peek2()
+	for t.Kind != EOF {
+		t = p.lex.Next()
+	}
+	p.ring = [4]Token{t, t, t, t}
+}
 
 // Parse parses a complete design file. It returns the (possibly partial)
 // tree and an error summarizing all lexical and syntax diagnostics, or nil
 // if the file is clean.
 func Parse(src string) (*DesignFile, error) {
-	// Token buffers are recycled across parses: the tree built below copies
-	// token values and holds only substrings of src, so nothing references
-	// the buffer once parseDesignFile returns. On large designs the buffer
-	// is megabytes, and reuse keeps it off the allocation hot path that
-	// incremental rebuilds hit on every edit.
-	bufp := tokPool.Get().(*[]Token)
-	toks, lexErrs := lexAppend((*bufp)[:0], src)
-	p := &Parser{toks: toks}
+	p := newParser(src)
 	df := p.parseDesignFile()
-	p.toks = nil
-	*bufp = toks[:0]
-	tokPool.Put(bufp)
 	var msgs []string
-	for _, e := range lexErrs {
+	for _, e := range p.lex.Errors {
 		msgs = append(msgs, e.Error())
 	}
 	for _, e := range p.Errors {
@@ -88,18 +105,17 @@ func MustParse(src string) *DesignFile {
 	return df
 }
 
-func (p *Parser) cur() Token { return p.toks[p.i] }
-func (p *Parser) peek() Token { // token after cur
-	if p.i+1 < len(p.toks) {
-		return p.toks[p.i+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *Parser) cur() Token   { return p.ring[p.n&3] }
+func (p *Parser) peek() Token  { return p.ring[(p.n+1)&3] } // token after cur
+func (p *Parser) peek2() Token { return p.ring[(p.n+2)&3] } // token after peek
 
+// next consumes the current token and lexes the one that enters the
+// window. At EOF it stays put.
 func (p *Parser) next() Token {
-	t := p.toks[p.i]
+	t := p.ring[p.n&3]
 	if t.Kind != EOF {
-		p.i++
+		p.ring[(p.n+3)&3] = p.lex.Next()
+		p.n++
 	}
 	return t
 }
@@ -211,11 +227,12 @@ func (p *Parser) parsePortDecl() *PortDecl {
 }
 
 func (p *Parser) parseIdentList() []string {
-	names := []string{p.expectIdent()}
+	m := p.ids.mark()
+	p.ids.push(p.expectIdent())
 	for p.accept(COMMA) {
-		names = append(names, p.expectIdent())
+		p.ids.push(p.expectIdent())
 	}
-	return names
+	return p.ids.pop(m, &p.a.identList)
 }
 
 func (p *Parser) parseDir() PortDir {
@@ -233,7 +250,7 @@ func (p *Parser) parseDir() PortDir {
 // parseTypeRef parses a type mark with an optional range or index constraint.
 func (p *Parser) parseTypeRef() *TypeRef {
 	pos := p.cur().Pos
-	tr := &TypeRef{Name: p.expectIdent(), Pos: pos}
+	tr := node(&p.a.typeRef, TypeRef{Name: p.expectIdent(), Pos: pos})
 	switch {
 	case p.accept(KwRANGE):
 		tr.Range = p.parseRangeDef()
@@ -246,7 +263,7 @@ func (p *Parser) parseTypeRef() *TypeRef {
 }
 
 func (p *Parser) parseRangeDef() *RangeDef {
-	r := &RangeDef{}
+	r := node(&p.a.ranges, RangeDef{})
 	r.Low = p.parseSimpleExpr()
 	switch {
 	case p.accept(KwTO):
@@ -289,28 +306,28 @@ func (p *Parser) parseDecls() []Decl {
 	if !p.enter() {
 		return nil
 	}
-	var decls []Decl
+	m := p.decls.mark()
 	for {
 		switch p.cur().Kind {
 		case KwTYPE:
 			if d := p.parseTypeDecl(); d != nil {
-				decls = append(decls, d)
+				p.decls.push(d)
 			}
 		case KwSUBTYPE:
 			if d := p.parseSubtypeDecl(); d != nil {
-				decls = append(decls, d)
+				p.decls.push(d)
 			}
 		case KwVARIABLE, KwSIGNAL, KwCONSTANT:
 			if d := p.parseObjectDecl(); d != nil {
-				decls = append(decls, d)
+				p.decls.push(d)
 			}
 		case KwPROCEDURE, KwFUNCTION:
 			if d := p.parseSubprogram(); d != nil {
-				decls = append(decls, d)
+				p.decls.push(d)
 			}
 		default:
 			p.leave()
-			return decls
+			return p.decls.pop(m, &p.a.declList)
 		}
 	}
 }
@@ -371,7 +388,7 @@ func (p *Parser) parseSubtypeDecl() *SubtypeDecl {
 }
 
 func (p *Parser) parseObjectDecl() *ObjectDecl {
-	od := &ObjectDecl{Pos: p.cur().Pos}
+	od := node(&p.a.objects, ObjectDecl{Pos: p.cur().Pos})
 	switch p.next().Kind {
 	case KwVARIABLE:
 		od.Class = ClassVariable
@@ -391,12 +408,12 @@ func (p *Parser) parseObjectDecl() *ObjectDecl {
 }
 
 func (p *Parser) parseSubprogram() *SubprogramDecl {
-	sp := &SubprogramDecl{Pos: p.cur().Pos}
+	sp := node(&p.a.subprog, SubprogramDecl{Pos: p.cur().Pos})
 	sp.IsFunction = p.next().Kind == KwFUNCTION
 	sp.Name = p.expectIdent()
 	if p.accept(LPAREN) {
 		for {
-			pd := &ParamDecl{Pos: p.cur().Pos}
+			pd := node(&p.a.params, ParamDecl{Pos: p.cur().Pos})
 			// Optional object class on parameters is accepted and ignored.
 			if p.at(KwVARIABLE) || p.at(KwSIGNAL) || p.at(KwCONSTANT) {
 				p.next()
@@ -478,18 +495,18 @@ func (p *Parser) parseStmts() []Stmt {
 	if !p.enter() {
 		return nil
 	}
-	var stmts []Stmt
+	m := p.stmts.mark()
 	for !p.atStmtListEnd() {
-		before := p.i
+		before := p.n
 		if s := p.parseStmt(); s != nil {
-			stmts = append(stmts, s)
+			p.stmts.push(s)
 		}
-		if p.i == before { // no progress: bail out of a confused state
+		if p.n == before { // no progress: bail out of a confused state
 			p.sync()
 		}
 	}
 	p.leave()
-	return stmts
+	return p.stmts.pop(m, &p.a.stmtList)
 }
 
 func (p *Parser) parseStmt() Stmt {
@@ -508,7 +525,7 @@ func (p *Parser) parseStmt() Stmt {
 		return p.parseWait()
 	case KwRETURN:
 		pos := p.next().Pos
-		rs := &ReturnStmt{Pos: pos}
+		rs := node(&p.a.returns, ReturnStmt{Pos: pos})
 		if !p.at(SEMI) {
 			rs.Value = p.parseExpr()
 		}
@@ -517,7 +534,7 @@ func (p *Parser) parseStmt() Stmt {
 	case KwNULL:
 		pos := p.next().Pos
 		p.expect(SEMI)
-		return &NullStmt{Pos: pos}
+		return node(&p.a.nulls, NullStmt{Pos: pos})
 	case KwEXIT:
 		pos := p.next().Pos
 		es := &ExitStmt{Pos: pos}
@@ -543,7 +560,7 @@ func (p *Parser) parseIdentStmt() Stmt {
 	// Labeled loop?
 	if p.peek().Kind == COLON {
 		label := p.cur().Text
-		switch p.toks[p.i+2].Kind {
+		switch p.peek2().Kind {
 		case KwFOR:
 			p.next()
 			p.next()
@@ -569,51 +586,51 @@ func (p *Parser) parseIdentStmt() Stmt {
 			p.next()
 			v := p.parseExpr()
 			p.expect(SEMI)
-			return &AssignStmt{Target: &CallExpr{Name: name, Args: args, Pos: pos}, Value: v, Pos: pos}
+			return node(&p.a.assigns, AssignStmt{Target: node(&p.a.calls, CallExpr{Name: name, Args: args, Pos: pos}), Value: v, Pos: pos})
 		case SIGASSIGN:
 			p.next()
 			v := p.parseExpr()
 			p.expect(SEMI)
-			return &AssignStmt{Target: &CallExpr{Name: name, Args: args, Pos: pos}, Value: v, IsSignal: true, Pos: pos}
+			return node(&p.a.assigns, AssignStmt{Target: node(&p.a.calls, CallExpr{Name: name, Args: args, Pos: pos}), Value: v, IsSignal: true, Pos: pos})
 		default:
 			p.expect(SEMI)
-			return &CallStmt{Name: name, Args: args, Pos: pos}
+			return node(&p.a.callSts, CallStmt{Name: name, Args: args, Pos: pos})
 		}
 	case ASSIGN:
 		p.next()
 		v := p.parseExpr()
 		p.expect(SEMI)
-		return &AssignStmt{Target: &NameExpr{Name: name, Pos: pos}, Value: v, Pos: pos}
+		return node(&p.a.assigns, AssignStmt{Target: node(&p.a.names, NameExpr{Name: name, Pos: pos}), Value: v, Pos: pos})
 	case SIGASSIGN:
 		p.next()
 		v := p.parseExpr()
 		p.expect(SEMI)
-		return &AssignStmt{Target: &NameExpr{Name: name, Pos: pos}, Value: v, IsSignal: true, Pos: pos}
+		return node(&p.a.assigns, AssignStmt{Target: node(&p.a.names, NameExpr{Name: name, Pos: pos}), Value: v, IsSignal: true, Pos: pos})
 	default:
 		// Parameterless procedure call: "Convolve;"
 		p.expect(SEMI)
-		return &CallStmt{Name: name, Pos: pos}
+		return node(&p.a.callSts, CallStmt{Name: name, Pos: pos})
 	}
 }
 
 func (p *Parser) parseArgs() []Expr {
 	p.expect(LPAREN)
-	var args []Expr
+	m := p.exprs.mark()
 	if !p.at(RPAREN) {
 		for {
-			args = append(args, p.parseExpr())
+			p.exprs.push(p.parseExpr())
 			if !p.accept(COMMA) {
 				break
 			}
 		}
 	}
 	p.expect(RPAREN)
-	return args
+	return p.exprs.pop(m, &p.a.exprList)
 }
 
 func (p *Parser) parseIf() Stmt {
 	pos := p.expect(KwIF).Pos
-	s := &IfStmt{Pos: pos}
+	s := node(&p.a.ifs, IfStmt{Pos: pos})
 	s.Cond = p.parseExpr()
 	p.expect(KwTHEN)
 	s.Then = p.parseStmts()
@@ -641,15 +658,15 @@ func (p *Parser) parseCase() Stmt {
 	for p.at(KwWHEN) {
 		wpos := p.next().Pos
 		w := WhenClause{Pos: wpos}
-		if p.accept(KwOTHERS) {
-			w.Choices = nil
-		} else {
+		if !p.accept(KwOTHERS) {
+			m := p.exprs.mark()
 			for {
-				w.Choices = append(w.Choices, p.parseSimpleExpr())
+				p.exprs.push(p.parseSimpleExpr())
 				if !p.accept(BAR) {
 					break
 				}
 			}
+			w.Choices = p.exprs.pop(m, &p.a.exprList)
 		}
 		p.expect(ARROW)
 		w.Body = p.parseStmts()
@@ -663,7 +680,7 @@ func (p *Parser) parseCase() Stmt {
 
 func (p *Parser) parseFor(label string) Stmt {
 	pos := p.expect(KwFOR).Pos
-	s := &ForStmt{Pos: pos, Label: label}
+	s := node(&p.a.fors, ForStmt{Pos: pos, Label: label})
 	s.Var = p.expectIdent()
 	p.expect(KwIN)
 	s.Low = p.parseSimpleExpr()
@@ -716,7 +733,7 @@ func (p *Parser) parseLoop(label string) Stmt {
 
 func (p *Parser) parseWait() Stmt {
 	pos := p.expect(KwWAIT).Pos
-	s := &WaitStmt{Pos: pos}
+	s := node(&p.a.waits, WaitStmt{Pos: pos})
 	switch {
 	case p.accept(KwON):
 		s.OnSignals = p.parseIdentList()
@@ -742,7 +759,7 @@ func (p *Parser) parseWait() Stmt {
 //	primary  := literal | name | name(args) | name'attr | (expr) | aggregate
 func (p *Parser) parseExpr() Expr {
 	if !p.enter() {
-		return &IntExpr{Pos: p.cur().Pos}
+		return node(&p.a.ints, IntExpr{Pos: p.cur().Pos})
 	}
 	e := p.parseRelation()
 	for {
@@ -751,7 +768,7 @@ func (p *Parser) parseExpr() Expr {
 		case KwAND, KwOR, KwXOR, KwNAND, KwNOR:
 			pos := p.next().Pos
 			r := p.parseRelation()
-			e = &BinExpr{Op: op, L: e, R: r, Pos: pos}
+			e = node(&p.a.bins, BinExpr{Op: op, L: e, R: r, Pos: pos})
 		default:
 			p.leave()
 			return e
@@ -767,7 +784,7 @@ func (p *Parser) parseRelation() Expr {
 		pos := p.next().Pos
 		r := p.parseSimpleExpr()
 		// SIGASSIGN in an expression context is the <= relational operator.
-		return &BinExpr{Op: op, L: e, R: r, Pos: pos}
+		return node(&p.a.bins, BinExpr{Op: op, L: e, R: r, Pos: pos})
 	}
 	return e
 }
@@ -777,7 +794,7 @@ func (p *Parser) parseSimpleExpr() Expr {
 	switch p.cur().Kind {
 	case MINUS, PLUS:
 		op := p.next()
-		e = &UnaryExpr{Op: op.Kind, X: p.parseTerm(), Pos: op.Pos}
+		e = node(&p.a.unaries, UnaryExpr{Op: op.Kind, X: p.parseTerm(), Pos: op.Pos})
 	default:
 		e = p.parseTerm()
 	}
@@ -787,7 +804,7 @@ func (p *Parser) parseSimpleExpr() Expr {
 		case PLUS, MINUS, AMP:
 			pos := p.next().Pos
 			r := p.parseTerm()
-			e = &BinExpr{Op: op, L: e, R: r, Pos: pos}
+			e = node(&p.a.bins, BinExpr{Op: op, L: e, R: r, Pos: pos})
 		default:
 			return e
 		}
@@ -802,7 +819,7 @@ func (p *Parser) parseTerm() Expr {
 		case STAR, SLASH, KwMOD, KwREM:
 			pos := p.next().Pos
 			r := p.parseFactor()
-			e = &BinExpr{Op: op, L: e, R: r, Pos: pos}
+			e = node(&p.a.bins, BinExpr{Op: op, L: e, R: r, Pos: pos})
 		default:
 			return e
 		}
@@ -813,12 +830,12 @@ func (p *Parser) parseFactor() Expr {
 	switch p.cur().Kind {
 	case KwNOT, KwABS:
 		if !p.enter() {
-			return &IntExpr{Pos: p.cur().Pos}
+			return node(&p.a.ints, IntExpr{Pos: p.cur().Pos})
 		}
 		op := p.next()
 		x := p.parseFactor()
 		p.leave()
-		return &UnaryExpr{Op: op.Kind, X: x, Pos: op.Pos}
+		return node(&p.a.unaries, UnaryExpr{Op: op.Kind, X: x, Pos: op.Pos})
 	}
 	return p.parsePrimary()
 }
@@ -828,7 +845,7 @@ func (p *Parser) parsePrimary() Expr {
 	switch t.Kind {
 	case INTLIT:
 		p.next()
-		return &IntExpr{Val: t.Val, Pos: t.Pos}
+		return node(&p.a.ints, IntExpr{Val: t.Val, Pos: t.Pos})
 	case CHARLIT:
 		p.next()
 		return &CharExpr{Val: byte(t.Val), Pos: t.Pos}
@@ -840,13 +857,13 @@ func (p *Parser) parsePrimary() Expr {
 		switch p.cur().Kind {
 		case LPAREN:
 			args := p.parseArgs()
-			return &CallExpr{Name: t.Text, Args: args, Pos: t.Pos}
+			return node(&p.a.calls, CallExpr{Name: t.Text, Args: args, Pos: t.Pos})
 		case TICK:
 			p.next()
 			attr := p.expectIdent()
 			return &AttrExpr{Prefix: t.Text, Attr: attr, Pos: t.Pos}
 		}
-		return &NameExpr{Name: t.Text, Pos: t.Pos}
+		return node(&p.a.names, NameExpr{Name: t.Text, Pos: t.Pos})
 	case LPAREN:
 		p.next()
 		if p.at(KwOTHERS) {
@@ -862,7 +879,7 @@ func (p *Parser) parsePrimary() Expr {
 	}
 	p.errorf(t.Pos, "expected expression, found %s", t)
 	p.next()
-	return &IntExpr{Val: 0, Pos: t.Pos}
+	return node(&p.a.ints, IntExpr{Val: 0, Pos: t.Pos})
 }
 
 // parseAggregateTail finishes parsing an aggregate whose opening paren has
