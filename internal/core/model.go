@@ -133,6 +133,11 @@ type Channel struct {
 // accesses between the same pair into one edge, so Key is unique per graph.
 func (c *Channel) Key() string { return c.Src.Name + "->" + c.Dst.EndpointName() }
 
+// chanKey is Key as a map key, without building the string.
+type chanKey struct{ src, dst string }
+
+func (c *Channel) key() chanKey { return chanKey{c.Src.Name, c.Dst.EndpointName()} }
+
 // Processor is one element of P_all: a standard processor or a custom
 // (ASIC) processor to which behaviors and variables may be mapped.
 type Processor struct {
@@ -191,7 +196,7 @@ type Graph struct {
 
 	nodeByName map[string]*Node
 	portByName map[string]*Port
-	chanByKey  map[string]*Channel
+	chanByKey  map[chanKey]*Channel
 	outgoing   map[*Node][]*Channel // GetBehChans index
 	incoming   map[string][]*Channel
 }
@@ -202,7 +207,7 @@ func NewGraph(name string) *Graph {
 		Name:       name,
 		nodeByName: make(map[string]*Node),
 		portByName: make(map[string]*Port),
-		chanByKey:  make(map[string]*Channel),
+		chanByKey:  make(map[chanKey]*Channel),
 		outgoing:   make(map[*Node][]*Channel),
 		incoming:   make(map[string][]*Channel),
 	}
@@ -258,9 +263,9 @@ func (g *Graph) AddChannel(c *Channel) error {
 	default:
 		return fmt.Errorf("slif: channel has no destination")
 	}
-	key := c.Key()
+	key := c.key()
 	if g.chanByKey[key] != nil {
-		return fmt.Errorf("slif: duplicate channel %s", key)
+		return fmt.Errorf("slif: duplicate channel %s", c.Key())
 	}
 	g.Channels = append(g.Channels, c)
 	g.chanByKey[key] = c
@@ -286,7 +291,7 @@ func (g *Graph) PortByName(name string) *Port { return g.portByName[name] }
 
 // FindChannel returns the channel from src to dst, or nil.
 func (g *Graph) FindChannel(src, dst string) *Channel {
-	return g.chanByKey[src+"->"+dst]
+	return g.chanByKey[chanKey{src, dst}]
 }
 
 // BehChans implements GetBehChans(b) of §3.1: all channels whose source is b.
@@ -452,7 +457,7 @@ func finite(v float64) bool { return math.Abs(v) <= math.MaxFloat64 }
 func (g *Graph) Reindex() {
 	g.nodeByName = make(map[string]*Node, len(g.Nodes))
 	g.portByName = make(map[string]*Port, len(g.Ports))
-	g.chanByKey = make(map[string]*Channel, len(g.Channels))
+	g.chanByKey = make(map[chanKey]*Channel, len(g.Channels))
 	g.outgoing = make(map[*Node][]*Channel, len(g.Nodes))
 	g.incoming = make(map[string][]*Channel, len(g.Nodes))
 	for _, n := range g.Nodes {
@@ -461,10 +466,30 @@ func (g *Graph) Reindex() {
 	for _, p := range g.Ports {
 		g.portByName[p.Name] = p
 	}
+	// Size every adjacency list first and cut them all from two arrays,
+	// so the lists cost two allocations, not a growth series per node.
+	// Each list's capacity is its length: a later append reallocates.
+	outN := make(map[*Node]int, len(g.Nodes))
+	inN := make(map[string]int, len(g.Nodes))
 	for _, c := range g.Channels {
-		g.chanByKey[c.Key()] = c
+		g.chanByKey[c.key()] = c
+		outN[c.Src]++
+		inN[c.Dst.EndpointName()]++
+	}
+	out := make([]*Channel, len(g.Channels))
+	in := make([]*Channel, len(g.Channels))
+	for _, c := range g.Channels {
+		if g.outgoing[c.Src] == nil {
+			n := outN[c.Src]
+			g.outgoing[c.Src], out = out[:0:n], out[n:]
+		}
 		g.outgoing[c.Src] = append(g.outgoing[c.Src], c)
-		g.incoming[c.Dst.EndpointName()] = append(g.incoming[c.Dst.EndpointName()], c)
+		dst := c.Dst.EndpointName()
+		if g.incoming[dst] == nil {
+			n := inN[dst]
+			g.incoming[dst], in = in[:0:n], in[n:]
+		}
+		g.incoming[dst] = append(g.incoming[dst], c)
 	}
 }
 
@@ -535,14 +560,14 @@ func (g *Graph) RemoveNode(n *Node) {
 	g.Nodes = deleteElem(g.Nodes, n)
 	// Channels from n.
 	for _, c := range g.outgoing[n] {
-		delete(g.chanByKey, c.Key())
+		delete(g.chanByKey, c.key())
 		g.Channels = deleteElem(g.Channels, c)
 		g.incoming[c.Dst.EndpointName()] = deleteElem(g.incoming[c.Dst.EndpointName()], c)
 	}
 	delete(g.outgoing, n)
 	// Channels to n.
 	for _, c := range g.incoming[n.Name] {
-		delete(g.chanByKey, c.Key())
+		delete(g.chanByKey, c.key())
 		g.Channels = deleteElem(g.Channels, c)
 		g.outgoing[c.Src] = deleteElem(g.outgoing[c.Src], c)
 	}
@@ -551,10 +576,10 @@ func (g *Graph) RemoveNode(n *Node) {
 
 // RemoveChannel deletes a single channel.
 func (g *Graph) RemoveChannel(c *Channel) {
-	if g.chanByKey[c.Key()] != c {
+	if g.chanByKey[c.key()] != c {
 		return
 	}
-	delete(g.chanByKey, c.Key())
+	delete(g.chanByKey, c.key())
 	g.Channels = deleteElem(g.Channels, c)
 	g.outgoing[c.Src] = deleteElem(g.outgoing[c.Src], c)
 	g.incoming[c.Dst.EndpointName()] = deleteElem(g.incoming[c.Dst.EndpointName()], c)

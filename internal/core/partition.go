@@ -156,7 +156,7 @@ func (pt *Partition) Validate() error {
 		}
 	}
 	for ch := range pt.chanBus {
-		if pt.g.chanByKey[ch.Key()] != ch {
+		if pt.g.chanByKey[ch.key()] != ch {
 			probs = append(probs, fmt.Sprintf("mapping for foreign channel %s", ch.Key()))
 		}
 	}

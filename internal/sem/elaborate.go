@@ -3,6 +3,7 @@ package sem
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"specsyn/internal/vhdl"
@@ -248,6 +249,15 @@ func elaboratePair(ent *vhdl.Entity, arch *vhdl.Architecture) (*Design, error) {
 // the enclosing behavior (nil at architecture level).
 func (e *elaborator) declarePass(sc *scope, decls []vhdl.Decl, owner *Behavior) {
 	d := e.d
+	if owner != nil {
+		n := 0
+		for _, decl := range decls {
+			if dd, ok := decl.(*vhdl.ObjectDecl); ok {
+				n += len(dd.Names)
+			}
+		}
+		owner.Decls = slices.Grow(owner.Decls, n)
+	}
 	for _, decl := range decls {
 		switch dd := decl.(type) {
 		case *vhdl.TypeDecl:
@@ -266,12 +276,12 @@ func (e *elaborator) declarePass(sc *scope, decls []vhdl.Decl, owner *Behavior) 
 		case *vhdl.ObjectDecl:
 			t := e.resolveTypeRef(sc, dd.Type)
 			for _, name := range dd.Names {
-				obj := &Object{Name: name, Class: dd.Class, Type: t, Owner: owner, Init: dd.Init, Pos: dd.Pos}
+				sym := newObjectSym(name, Object{Name: name, Class: dd.Class, Type: t, Owner: owner, Init: dd.Init, Pos: dd.Pos})
+				obj := sym.Object
 				d.Objects = append(d.Objects, obj)
 				if owner != nil {
 					owner.Decls = append(owner.Decls, obj)
 				}
-				sym := &Symbol{Kind: SymObject, Name: name, Object: obj, Type: t}
 				if dd.Class == vhdl.ClassConstant && dd.Init != nil {
 					if v, ok := e.evalConst(sc, dd.Init); ok {
 						sym.ConstVal, sym.HasConst = v, true
@@ -296,6 +306,17 @@ func (e *elaborator) declarePass(sc *scope, decls []vhdl.Decl, owner *Behavior) 
 	}
 }
 
+// newObjectSym returns the symbol of obj, declared as name. The two share
+// one allocation.
+func newObjectSym(name string, obj Object) *Symbol {
+	os := &struct {
+		sym Symbol
+		obj Object
+	}{obj: obj}
+	os.sym = Symbol{Kind: SymObject, Name: name, Object: &os.obj, Type: obj.Type}
+	return &os.sym
+}
+
 // bodyPass elaborates subprogram bodies declared in decls: builds their
 // local scopes (params + locals) and recursively handles nested decls.
 func (e *elaborator) bodyPass(sc *scope, decls []vhdl.Decl, owner *Behavior) {
@@ -311,8 +332,7 @@ func (e *elaborator) bodyPass(sc *scope, decls []vhdl.Decl, owner *Behavior) {
 		b := sym.Behavior
 		b.scope = newScope(sc)
 		for _, p := range b.Params {
-			b.scope.define(p.Name, &Symbol{Kind: SymObject, Name: p.Name, Type: p.Type,
-				Object: &Object{Name: p.Name, Class: vhdl.ClassVariable, Type: p.Type, Owner: b, IsParam: true}})
+			b.scope.define(p.Name, newObjectSym(p.Name, Object{Name: p.Name, Class: vhdl.ClassVariable, Type: p.Type, Owner: b, IsParam: true}))
 		}
 		// Parameters are not SLIF nodes; mark them by not appending to
 		// d.Objects. Their Object field exists only so expression walkers
@@ -621,25 +641,25 @@ func (e *elaborator) assignUniqueIDs() {
 		count[p.Name]++
 	}
 	used := map[string]bool{}
-	pick := func(short, qualified string) string {
+	// pick qualifies a name by its owner, if any, only when it collides.
+	pick := func(short string, owner *Behavior) string {
 		name := short
 		if count[short] > 1 || used[name] {
-			name = qualified
+			if owner != nil {
+				short = owner.Name + "." + short
+			}
+			name = short
 		}
 		for i := 2; used[name]; i++ {
-			name = fmt.Sprintf("%s_%d", qualified, i)
+			name = fmt.Sprintf("%s_%d", short, i)
 		}
 		used[name] = true
 		return name
 	}
 	for _, b := range d.Behaviors {
-		b.UniqueID = pick(b.Name, b.Name)
+		b.UniqueID = pick(b.Name, nil)
 	}
 	for _, o := range d.Objects {
-		q := o.Name
-		if o.Owner != nil {
-			q = o.Owner.Name + "." + o.Name
-		}
-		o.UniqueID = pick(o.Name, q)
+		o.UniqueID = pick(o.Name, o.Owner)
 	}
 }
