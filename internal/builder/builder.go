@@ -29,6 +29,7 @@ import (
 
 	"specsyn/internal/core"
 	"specsyn/internal/profile"
+	"specsyn/internal/sched"
 	"specsyn/internal/sem"
 	"specsyn/internal/synth"
 	"specsyn/internal/vhdl"
@@ -64,6 +65,7 @@ type state struct {
 
 	g       *core.Graph
 	chanSym map[*core.Channel]*sem.Symbol // channel → resolved destination
+	sched   sched.Scheduler               // the tag pass's, reused per behavior
 
 	// res holds the fresh nodes of a rebuild's affected behaviors, by
 	// name. While they are re-extracted, g is the previous graph, whose

@@ -2,7 +2,6 @@ package builder
 
 import (
 	"specsyn/internal/core"
-	"specsyn/internal/sched"
 	"specsyn/internal/sem"
 )
 
@@ -29,23 +28,10 @@ func (s *state) tagChannels(b *sem.Behavior, chans []*core.Channel) {
 	if len(chans) == 0 {
 		return
 	}
-	tags := sched.Tags(s.d, b)
+	s.sched.Run(s.d, b)
 	for _, c := range chans {
-		if tag, ok := tags[targetID(s.chanSym[c])]; ok {
+		if tag, ok := s.sched.Tag(s.chanSym[c]); ok {
 			c.Tag = tag
 		}
 	}
-}
-
-// targetID names a channel's destination the way sched keys its verdicts.
-func targetID(sym *sem.Symbol) string {
-	switch sym.Kind {
-	case sem.SymObject:
-		return sym.Object.UniqueID
-	case sem.SymPort:
-		return sym.Port.Name
-	case sem.SymBehavior:
-		return sym.Behavior.UniqueID
-	}
-	return ""
 }
