@@ -138,7 +138,23 @@ func candidateTable(g *core.Graph) ([][]core.Component, error) {
 // cancellation or budget exhaustion it returns the best candidate seen so
 // far with Partial set.
 func Random(ctx context.Context, g *core.Graph, cfg Config) (Result, error) {
-	return randomShard(ctx, g, cfg, 0, cfg.randomIters())
+	r, err := randomShard(ctx, g, cfg, 0, cfg.randomIters())
+	return exact(cfg.Eval, r, err)
+}
+
+// exact replaces r.Cost with the full cost function's value for r.Best.
+// The searches cost candidates through the delta evaluator, whose running
+// sums can drift by rounding, even below zero, so a search recomputes the
+// cost of the partition it returns once, at return. The recomputation is
+// not counted as an evaluation.
+func exact(ev *Evaluator, r Result, err error) (Result, error) {
+	if err != nil || r.Best == nil {
+		return r, err
+	}
+	if r.Cost, err = ev.costOf(r.Best, ev.W); err != nil {
+		return Result{}, err
+	}
+	return r, nil
 }
 
 // randomIters is the length of Random's candidate enumeration: MaxIters,
@@ -255,7 +271,8 @@ func materialize(g *core.Graph, d *DeltaEval, vec []int32, policy BusPolicy) (*c
 // legal) mapping built so far with Partial set, spending one grace
 // evaluation to cost it.
 func Greedy(ctx context.Context, g *core.Graph, cfg Config) (Result, error) {
-	return greedyRotated(ctx, g, cfg, 0)
+	r, err := greedyRotated(ctx, g, cfg, 0)
+	return exact(cfg.Eval, r, err)
 }
 
 // greedyRotated is Greedy with the constructive order rotated left by
@@ -432,7 +449,7 @@ func GroupMigration(ctx context.Context, init *core.Partition, cfg Config) (Resu
 			break
 		}
 	}
-	return Result{Best: cur, Cost: curCost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
+	return exact(cfg.Eval, Result{Best: cur, Cost: curCost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil)
 }
 
 // Anneal runs simulated annealing from an initial partition: random node
@@ -442,6 +459,13 @@ func GroupMigration(ctx context.Context, init *core.Partition, cfg Config) (Resu
 // seen so far with Partial set; the context is polled every checkInterval
 // iterations so the RNG stream is untouched by the checks.
 func Anneal(ctx context.Context, init *core.Partition, cfg Config) (Result, error) {
+	r, err := anneal(ctx, init, cfg)
+	return exact(cfg.Eval, r, err)
+}
+
+// anneal is Anneal without the final recomputation of the cost, for the
+// portfolio's strands, whose costs are recomputed once at the merge.
+func anneal(ctx context.Context, init *core.Partition, cfg Config) (Result, error) {
 	g := init.Graph()
 	start := cfg.Eval.Evals
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -623,5 +647,5 @@ func Exhaustive(ctx context.Context, g *core.Graph, cfg Config) (Result, error) 
 			return Result{}, err
 		}
 	}
-	return Result{Best: best, Cost: bestCost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
+	return exact(cfg.Eval, Result{Best: best, Cost: bestCost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil)
 }

@@ -180,5 +180,5 @@ func ClusterGreedy(ctx context.Context, g *core.Graph, cfg Config) (Result, erro
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{Best: best, Cost: cost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil
+	return exact(cfg.Eval, Result{Best: best, Cost: cost, Evals: cfg.Eval.Evals - start, Partial: partial}, nil)
 }

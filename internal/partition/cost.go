@@ -192,6 +192,11 @@ func (ev *Evaluator) costWith(pt *core.Partition, w Weights) (float64, error) {
 		}
 	}
 	ev.Evals++
+	return ev.costOf(pt, w)
+}
+
+// costOf is costWith without the hook and the evaluation count.
+func (ev *Evaluator) costOf(pt *core.Partition, w Weights) (float64, error) {
 	est := ev.estimator(pt)
 	var cost float64
 
