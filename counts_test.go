@@ -15,9 +15,9 @@ import (
 	"testing"
 
 	"specsyn/internal/builder"
-	"specsyn/internal/core"
 	"specsyn/internal/estimate"
 	"specsyn/internal/faultinject"
+	"specsyn/internal/graphtest"
 	"specsyn/internal/serve"
 	"specsyn/internal/specsyn"
 	"specsyn/internal/store"
@@ -50,9 +50,8 @@ var countSubjects = []string{"ans", "ether", "fuzzy", "vol", "syn-p8", "syn-p32"
 
 // mallocsPerCall returns the heap allocations of one call of f, the
 // fewest over three calls after a warm-up call. Each call gets src with a
-// trailing comment of its own, so no front end meets a source it has
-// cached. The collector is off while measuring, so no pool drain lands
-// inside a call.
+// trailing comment of its own. The collector is off while measuring, so no
+// pool drain lands inside a call.
 func mallocsPerCall(src string, f func(src string)) int64 {
 	srcs := make([]string, 4)
 	for i := range srcs {
@@ -82,19 +81,6 @@ func nullEdit(t *testing.T, src string) string {
 	return vhdl.Format(df)
 }
 
-// compiledBytes is g's compiled binary form without its allocation.
-func compiledBytes(t *testing.T, g *core.Graph) []byte {
-	snap, err := core.Compile(g.Clone(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := snap.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // measureSubject adds the build, rebuild and estimate rows of one subject
 // to m.
 func measureSubject(t *testing.T, name string, m map[string]int64) {
@@ -118,9 +104,15 @@ func measureSubject(t *testing.T, name string, m map[string]int64) {
 	})
 
 	// Only a real patch is counted: the edit must not fall back to a full
-	// build, and its result must be byte-identical to a fresh build.
+	// build, and its result must be byte-identical to a fresh build. The
+	// front end of the previous source is made outside the measured calls,
+	// as a session holds it.
 	edited := nullEdit(t, src)
-	g, delta, err := builder.Rebuild(env.Graph, src, edited, opts)
+	prevFE, err := builder.NewFrontEnd(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, delta, err := builder.RebuildFrom(env.Graph, prevFE, edited, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +123,11 @@ func measureSubject(t *testing.T, name string, m map[string]int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(compiledBytes(t, g), compiledBytes(t, fresh)) {
+	if !bytes.Equal(graphtest.Bytes(t, g), graphtest.Bytes(t, fresh)) {
 		t.Fatalf("%s: incremental rebuild diverges from a full build", name)
 	}
 	m["rebuild/"+name] = mallocsPerCall(edited, func(next string) {
-		if _, _, err := builder.Rebuild(env.Graph, src, next, opts); err != nil {
+		if _, _, _, err := builder.RebuildFrom(env.Graph, prevFE, next, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -149,6 +141,71 @@ func measureSubject(t *testing.T, name string, m map[string]int64) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// reloadMallocs returns the heap allocations of one Env.Reload of edited
+// on a session built from src, the fewest over three calls after a warm-up
+// call. Before each call the session is put back on src, and then every
+// session of others reloads a source of its own, as sessions served side
+// by side do; neither is measured. Each round tags its sources with a
+// comment of its own, and the measured reload must be a patch.
+func reloadMallocs(t *testing.T, env *specsyn.Env, src, edited string, others []*specsyn.Env) int64 {
+	bases := make([]string, len(others))
+	for i, o := range others {
+		bases[i] = o.Source
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	fewest := int64(math.MaxInt64)
+	for round := 0; round < 4; round++ {
+		tag := fmt.Sprintf("-- count %d\n", round)
+		if _, err := env.Reload(src + tag); err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range others {
+			if _, err := o.Reload(bases[i] + tag); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&before)
+		delta, err := env.Reload(edited + tag)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.Full || delta.Empty() {
+			t.Fatalf("one-behavior reload: delta %+v", delta)
+		}
+		if round > 0 {
+			fewest = min(fewest, int64(after.Mallocs-before.Mallocs))
+		}
+	}
+	return fewest
+}
+
+// measureReload adds to m the allocations of a one-behavior Env.Reload of
+// syn-p32 on its own, and of the same reload made after four other
+// sessions, the paper examples, reloaded: a session keeps the front end of
+// its current source, so the other sessions' work must not change its
+// reload.
+func measureReload(t *testing.T, m map[string]int64) {
+	session := func() *specsyn.Env {
+		env := specsyn.New()
+		env.LoadVHDL(syngen.Generate(syngen.Config{Seed: 7, Processes: 32}))
+		if err := env.Build(); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	var others []*specsyn.Env
+	for _, name := range examples {
+		others = append(others, loadEnv(t, name))
+	}
+	env := session()
+	src := env.Source
+	edited := nullEdit(t, src)
+	m["reload/syn-p32"] = reloadMallocs(t, env, src, edited, nil)
+	m["reload-interleaved/syn-p32"] = reloadMallocs(t, session(), src, edited, others)
 }
 
 // measureServe adds to m the journal bytes and fsyncs of one served build
@@ -228,8 +285,9 @@ func compareRows(t *testing.T, got, want map[string]int64, tol float64) {
 }
 
 // TestCounts is a ratchet on counts that do not depend on the machine:
-// heap allocations per Build, Rebuild and Estimate on every subject, and
-// the journal bytes and fsyncs of a served build and of served reloads.
+// heap allocations per Build, Rebuild and Estimate on every subject and
+// per Env.Reload of syn-p32, and the journal bytes and fsyncs of a served
+// build and of served reloads.
 // It compares them with testdata/counts.json, which
 //
 //	go test -run TestCounts -update .
@@ -238,7 +296,9 @@ func compareRows(t *testing.T, got, want map[string]int64, tol float64) {
 // file fails as surely as a regression; they are compared only under the
 // Go release that wrote the file and without -race. The other rows must
 // match exactly. Whatever the file says, a one-behavior Rebuild of
-// syn-p128 must allocate at most half of what a full build does.
+// syn-p128 must allocate at most half of what a full build does, and
+// outside -race a syn-p32 reload must allocate the same, within
+// mallocTolerance, whether or not other sessions reloaded before it.
 func TestCounts(t *testing.T) {
 	if *update && raceEnabled() {
 		t.Fatal("-update writes the counts of a build without -race")
@@ -247,12 +307,18 @@ func TestCounts(t *testing.T) {
 	for _, name := range countSubjects {
 		measureSubject(t, name, got.Mallocs)
 	}
+	measureReload(t, got.Mallocs)
 	measureServe(t, got.Exact)
 
 	build, rebuild := got.Mallocs["build/syn-p128"], got.Mallocs["rebuild/syn-p128"]
 	if float64(rebuild) > 0.5*float64(build) {
 		t.Errorf("syn-p128: a one-behavior rebuild allocates %d times, %.3f of a full build's %d; want at most 0.5",
 			rebuild, float64(rebuild)/float64(build), build)
+	}
+	warm, inter := got.Mallocs["reload/syn-p32"], got.Mallocs["reload-interleaved/syn-p32"]
+	if !raceEnabled() && math.Abs(float64(inter-warm)) > mallocTolerance*float64(warm) {
+		t.Errorf("syn-p32: a reload after four other sessions reloaded allocates %d times, one on its own %d; want them within %.2f%%",
+			inter, warm, 100*mallocTolerance)
 	}
 
 	if *update {

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"specsyn/internal/core"
 	"specsyn/internal/sem"
@@ -59,99 +58,126 @@ func (d Delta) Empty() bool {
 	return !d.Full && len(d.Changed) == 0 && len(d.Dependents) == 0
 }
 
-// frontEnd is one cached parse+elaborate+fingerprint of a source text.
-type frontEnd struct {
-	df *vhdl.DesignFile
-	d  *sem.Design
-	fp *vhdl.DesignFP
+// FrontEnd is the front end of one source text as the next rebuild against
+// it reads it: the text, its elaborated design and its unit fingerprints,
+// but not its parse tree. A session keeps the value of its current source
+// and hands it to RebuildFrom with the next edit, so a reload runs the
+// front end on the new source only. The value is immutable once made.
+type FrontEnd struct {
+	src string
+	d   *sem.Design
+	fp  *vhdl.DesignFP // nil in a value made by FromDesign
 }
 
-// The front-end cache memoizes parse results by exact source text. Reload
-// chains always look up the previous source (it was the new source of the
-// preceding call), so an incremental rebuild pays for one parse, not two.
-// The cap keeps a small editing history without holding every draft alive.
-const feCacheCap = 3
-
-var feCache = struct {
-	sync.Mutex
-	m   map[string]*frontEnd
-	mru []string // oldest first
-}{m: make(map[string]*frontEnd)}
-
-func frontend(src string) (*frontEnd, error) {
-	feCache.Lock()
-	if fe := feCache.m[src]; fe != nil {
-		for i, s := range feCache.mru {
-			if s == src {
-				feCache.mru = append(append(feCache.mru[:i:i], feCache.mru[i+1:]...), src)
-				break
-			}
-		}
-		feCache.Unlock()
-		return fe, nil
-	}
-	feCache.Unlock()
-
+// parse runs the parser and elaborator on src.
+func parse(src string) (*vhdl.DesignFile, *sem.Design, error) {
 	df, err := vhdl.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	d, err := sem.Elaborate(df)
-	if err != nil {
-		return nil, err
-	}
-	fe := &frontEnd{df: df, d: d, fp: vhdl.Fingerprint(df)}
-
-	feCache.Lock()
-	defer feCache.Unlock()
-	if won := feCache.m[src]; won != nil { // lost a race; keep the first
-		return won, nil
-	}
-	feCache.m[src] = fe
-	feCache.mru = append(feCache.mru, src)
-	if len(feCache.mru) > feCacheCap {
-		delete(feCache.m, feCache.mru[0])
-		feCache.mru = feCache.mru[1:]
-	}
-	return fe, nil
-}
-
-// Frontend returns the parsed and elaborated form of src through the same
-// memoizing cache Rebuild uses, so a caller that just rebuilt can fetch
-// the matching design for free.
-func Frontend(src string) (*vhdl.DesignFile, *sem.Design, error) {
-	fe, err := frontend(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	return fe.df, fe.d, nil
+	d, err := sem.Elaborate(df)
+	if err != nil {
+		return nil, nil, err
+	}
+	return df, d, nil
 }
 
-// Rebuild builds the SLIF graph of newSrc, reusing prev — the graph built
-// from prevSrc with the same Options — wherever the edit did not reach.
-// Three outcomes, reported in the Delta:
+// NewFrontEnd parses, elaborates and fingerprints src.
+func NewFrontEnd(src string) (*FrontEnd, error) {
+	df, d, err := parse(src)
+	if err != nil {
+		return nil, err
+	}
+	return &FrontEnd{src: src, d: d, fp: vhdl.Fingerprint(df)}, nil
+}
+
+// FromDesign wraps the design a cold build elaborated from src, without
+// fingerprints: a build that is never reloaded pays nothing for the
+// rebuild. The first rebuild against the value parses src again to take
+// them.
+func FromDesign(src string, d *sem.Design) *FrontEnd {
+	return &FrontEnd{src: src, d: d}
+}
+
+// Source returns the text fe was made from.
+func (fe *FrontEnd) Source() string { return fe.src }
+
+// Design returns the design elaborated from fe's source.
+func (fe *FrontEnd) Design() *sem.Design { return fe.d }
+
+// fingerprinted returns fe with its fingerprints: fe itself, or for a
+// value made by FromDesign a fingerprinted copy, leaving fe unchanged; nil
+// if fe's source does not parse.
+func (fe *FrontEnd) fingerprinted() *FrontEnd {
+	if fe.fp != nil {
+		return fe
+	}
+	df, err := vhdl.Parse(fe.src)
+	if err != nil {
+		return nil
+	}
+	return &FrontEnd{src: fe.src, d: fe.d, fp: vhdl.Fingerprint(df)}
+}
+
+// Frontend returns the parsed and elaborated form of src.
+func Frontend(src string) (*vhdl.DesignFile, *sem.Design, error) {
+	return parse(src)
+}
+
+// Rebuild is RebuildFrom for a caller that holds only prev's source text:
+// it runs the front end on both sources.
+func Rebuild(prev *core.Graph, prevSrc, newSrc string, opts Options) (*core.Graph, Delta, error) {
+	var prevFE *FrontEnd
+	if prev != nil {
+		prevFE, _ = NewFrontEnd(prevSrc) // nil: rebuilds fully
+	}
+	g, _, delta, err := RebuildFrom(prev, prevFE, newSrc, opts)
+	return g, delta, err
+}
+
+// RebuildFrom builds the SLIF graph of newSrc, reusing prev — the graph
+// built with the same Options from the source prevFE was made from —
+// wherever the edit did not reach. It returns the graph, the front end of
+// newSrc for the next rebuild, and what it did. Three outcomes, reported
+// in the Delta:
 //
 //   - no semantic change: prev itself is returned (pointer-equal), Delta
-//     empty;
+//     empty; the returned front end keeps prevFE's design, which matches
+//     prev;
 //   - localized edit: a new graph with only the changed behaviors and
 //     their dependents re-extracted, sharing every other struct with prev;
 //     prev is not mutated;
-//   - anything else: a from-scratch Build, Delta.Full set with the reason.
+//   - anything else, including a nil prev or prevFE: a from-scratch Build,
+//     Delta.Full set with the reason.
 //
 // In every case the result is byte-identical (core.Compile + MarshalBinary)
 // to Build of the new source, in the pre-allocation form Build produces:
 // component sets on prev (an applied allocation) are ignored, never copied,
 // and never mutated — re-apply the allocation to the result.
-func Rebuild(prev *core.Graph, prevSrc, newSrc string, opts Options) (*core.Graph, Delta, error) {
-	newFE, err := frontend(newSrc)
+func RebuildFrom(prev *core.Graph, prevFE *FrontEnd, newSrc string, opts Options) (*core.Graph, *FrontEnd, Delta, error) {
+	newFE, err := NewFrontEnd(newSrc)
 	if err != nil {
-		return nil, Delta{}, err
+		return nil, nil, Delta{}, err
 	}
+	g, delta, err := rebuild(prev, prevFE, newFE, opts)
+	if err != nil {
+		return nil, nil, Delta{}, err
+	}
+	if delta.Empty() {
+		newFE = &FrontEnd{src: newSrc, d: prevFE.d, fp: newFE.fp}
+	}
+	return g, newFE, delta, nil
+}
+
+// rebuild is RebuildFrom once the new source's front end has run.
+func rebuild(prev *core.Graph, prevFE, newFE *FrontEnd, opts Options) (*core.Graph, Delta, error) {
 	if prev == nil {
 		return rebuildFull(prev, newFE, opts, "no previous graph")
 	}
-	prevFE, err := frontend(prevSrc)
-	if err != nil {
+	if prevFE != nil {
+		prevFE = prevFE.fingerprinted()
+	}
+	if prevFE == nil {
 		return rebuildFull(prev, newFE, opts, "previous source no longer parses")
 	}
 	if reason := structureChanged(prevFE, newFE); reason != "" {
@@ -330,7 +356,7 @@ func builderForm(g *core.Graph, d *sem.Design) bool {
 
 // rebuildFull is the fall-back: a from-scratch Build of the new source,
 // with the node-set difference against prev reported in the Delta.
-func rebuildFull(prev *core.Graph, fe *frontEnd, opts Options, reason string) (*core.Graph, Delta, error) {
+func rebuildFull(prev *core.Graph, fe *FrontEnd, opts Options, reason string) (*core.Graph, Delta, error) {
 	g, err := Build(fe.d, opts)
 	if err != nil {
 		return nil, Delta{}, err
@@ -373,7 +399,7 @@ func behaviorPath(b *sem.Behavior) string {
 // structureChanged reports (as a non-empty reason) every condition under
 // which the unit diff cannot localize the edit and Rebuild must fall back
 // to a full build.
-func structureChanged(prev, next *frontEnd) string {
+func structureChanged(prev, next *FrontEnd) string {
 	if prev.fp.Context != next.fp.Context {
 		return "architecture context changed"
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"specsyn/internal/core"
+	"specsyn/internal/graphtest"
 	"specsyn/internal/profile"
 	"specsyn/internal/sem"
 	"specsyn/internal/vhdl"
@@ -31,53 +32,6 @@ func snapBytes(t testing.TB, g *core.Graph) []byte {
 		t.Fatalf("marshal: %v", err)
 	}
 	return data
-}
-
-// sameIndexes is the lookup-index oracle. snapBytes compiles from the
-// slices alone and cannot see a stale index, so every lookup got serves —
-// NodeByName, PortByName, FindChannel, BehChans, InChans — must agree with
-// want's, by names and by channel keys in order, and must return the
-// structs in got's own slices.
-func sameIndexes(t testing.TB, got, want *core.Graph) {
-	t.Helper()
-	if len(got.Nodes) != len(want.Nodes) || len(got.Ports) != len(want.Ports) || len(got.Channels) != len(want.Channels) {
-		t.Fatalf("graph sizes differ: got %d/%d/%d nodes/ports/channels, want %d/%d/%d",
-			len(got.Nodes), len(got.Ports), len(got.Channels), len(want.Nodes), len(want.Ports), len(want.Channels))
-	}
-	keys := func(cs []*core.Channel) string {
-		var b strings.Builder
-		for _, c := range cs {
-			b.WriteString(c.Key())
-			b.WriteByte(' ')
-		}
-		return b.String()
-	}
-	sameIn := func(name string) {
-		if g, w := keys(got.InChans(name)), keys(want.InChans(name)); g != w {
-			t.Fatalf("InChans(%s) = [%s], want [%s]", name, g, w)
-		}
-	}
-	for i, n := range want.Nodes {
-		gn := got.NodeByName(n.Name)
-		if gn == nil || gn != got.Nodes[i] {
-			t.Fatalf("NodeByName(%s) does not serve node %d of the graph", n.Name, i)
-		}
-		if g, w := keys(got.BehChans(gn)), keys(want.BehChans(n)); g != w {
-			t.Fatalf("BehChans(%s) = [%s], want [%s]", n.Name, g, w)
-		}
-		sameIn(n.Name)
-	}
-	for i, p := range want.Ports {
-		if gp := got.PortByName(p.Name); gp == nil || gp != got.Ports[i] {
-			t.Fatalf("PortByName(%s) does not serve port %d of the graph", p.Name, i)
-		}
-		sameIn(p.Name)
-	}
-	for i, c := range want.Channels {
-		if got.FindChannel(c.Src.Name, c.Dst.EndpointName()) != got.Channels[i] {
-			t.Fatalf("FindChannel(%s) does not serve channel %d of the graph", c.Key(), i)
-		}
-	}
 }
 
 // normalize round-trips a source through the printer so that subsequent
@@ -238,17 +192,17 @@ func testRebuildDifferential(t *testing.T, name string, edits int) {
 		if !bytes.Equal(snapBytes(t, got), snapBytes(t, want)) {
 			t.Fatalf("edit %d (%s, kind %d): rebuild diverges from full build (delta %+v)", i, path, kind, delta)
 		}
-		sameIndexes(t, got, want)
+		graphtest.SameIndexes(t, got, want)
 		if delta.Full {
 			if kind != editDelete {
 				t.Fatalf("edit %d (%s, kind %d): unexpected full fallback: %s", i, path, kind, delta.Reason)
 			}
 		} else {
-			fe, err := frontend(newSrc)
+			_, d, err := Frontend(newSrc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			exp := expectedAffected(fe.d, prev, path)
+			exp := expectedAffected(d, prev, path)
 			gotSet := make(map[string]bool)
 			for _, id := range delta.Changed {
 				gotSet[id] = true
@@ -425,7 +379,7 @@ func TestRebuildWithOverrides(t *testing.T) {
 		if !bytes.Equal(snapBytes(t, got), snapBytes(t, want)) {
 			t.Fatalf("edit %d (%s): overridden rebuild diverges from full build", i, path)
 		}
-		sameIndexes(t, got, want)
+		graphtest.SameIndexes(t, got, want)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"specsyn/internal/faultinject"
+	"specsyn/internal/graphtest"
 	"specsyn/internal/store"
 )
 
@@ -140,6 +141,48 @@ func TestEvictionRestore(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK || st.Has("a") {
 		t.Fatalf("delete: status %d, store has a: %v", resp.StatusCode, st.Has("a"))
+	}
+}
+
+// TestReloadAfterRestore: a session restored from its checkpoint has a
+// graph and a source but no front end of them. The next one-behavior
+// reload parses the source once and still patches the restored graph, to
+// what a fresh build of the edited source gives.
+func TestReloadAfterRestore(t *testing.T) {
+	st := openStore(t, t.TempDir(), nil)
+	srv := New(Config{Store: st, MaxSessions: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	buildDesign(t, ts, "a", "fuzzy")
+	buildDesign(t, ts, "b", "ans") // evicts "a", checkpointing it
+	estimateJSON(t, ts, "a")       // restore-on-miss
+	if srv.Stats().Restores != 1 {
+		t.Fatalf("restores = %d, want 1", srv.Stats().Restores)
+	}
+	src, _ := readExample(t, "fuzzy")
+	edited := insertNull(t, src)
+	var resp ReloadResponse
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/designs/a/reload", ReloadRequest{VHDL: edited}, &resp); code != http.StatusOK {
+		t.Fatalf("reload: status %d", code)
+	}
+	if resp.Full || resp.Empty {
+		t.Fatalf("one-behavior reload of a restored session: %+v", resp)
+	}
+	sess := srv.cache.get("a")
+	if sess == nil {
+		t.Fatal("a not cached after its reload")
+	}
+	fresh := loadEnv(t, "fuzzy")
+	fresh.LoadVHDL(edited)
+	if err := fresh.Build(); err != nil {
+		t.Fatal(err)
+	}
+	sess.mu.RLock()
+	got := graphtest.Bytes(t, sess.env.Graph)
+	sess.mu.RUnlock()
+	if !bytes.Equal(got, graphtest.Bytes(t, fresh.Graph)) {
+		t.Error("reload of a restored session diverges from a fresh build")
 	}
 }
 

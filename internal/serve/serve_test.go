@@ -268,6 +268,29 @@ func TestServerDeepNesting(t *testing.T) {
 	buildDesign(t, ts, "fuzzy", "fuzzy")
 }
 
+// TestServerErrorFlood: a body as large as the server reads, made of
+// nothing but syntax errors, is refused with a short 422 that ends with
+// "too many errors", and the server keeps serving.
+func TestServerErrorFlood(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}))
+	defer ts.Close()
+	body, err := json.Marshal(BuildRequest{VHDL: strings.Repeat(";", 16<<20-64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/designs/flood/build", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "too many errors") || len(msg) > 16<<10 {
+		t.Fatalf("flood build: status %d, %d-byte body %.300s; want a short 422 ending the diagnostics early",
+			resp.StatusCode, len(msg), msg)
+	}
+	buildDesign(t, ts, "fuzzy", "fuzzy")
+}
+
 // deepLoops is one process nesting depth two-billion-trip loops around
 // one assignment.
 func deepLoops(depth int) string {

@@ -3,13 +3,18 @@ package specsyn
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
+	"specsyn/internal/builder"
 	"specsyn/internal/core"
+	"specsyn/internal/graphtest"
 	"specsyn/internal/partition"
+	"specsyn/internal/syngen"
 	"specsyn/internal/vhdl"
 	"specsyn/internal/xform"
 )
@@ -304,5 +309,183 @@ func TestReloadAfterTransform(t *testing.T) {
 					len(env.Graph.Nodes), len(fresh.Graph.Nodes))
 			}
 		})
+	}
+}
+
+// TestReloadAfterFailedReload: a reload that does not parse leaves the
+// session's front end on its source, so the next one-behavior edit of that
+// source is still a patch, byte-identical to a fresh build.
+func TestReloadAfterFailedReload(t *testing.T) {
+	env := load(t, "fuzzy")
+	src := env.Source
+	broken := strings.Replace(src, "begin", "begin $ (", 1)
+	if _, err := env.Reload(broken); err == nil {
+		t.Fatal("broken source accepted")
+	}
+	edited := insertNull(t, src)
+	delta, err := env.Reload(edited)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Full || delta.Empty() {
+		t.Fatalf("one-behavior edit after a failed reload: delta %+v", delta)
+	}
+	fresh := load(t, "fuzzy")
+	fresh.LoadVHDL(edited)
+	if err := fresh.Build(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reloadBytes(t, env.Graph), reloadBytes(t, fresh.Graph)) {
+		t.Error("patch after a failed reload diverges from a full build")
+	}
+}
+
+// TestReloadAfterSourceSet: a caller that sets Source and Graph itself, as
+// a checkpoint restore does, leaves the session's front end on the old
+// source. Reload must diff against the source the session now holds.
+func TestReloadAfterSourceSet(t *testing.T) {
+	env := load(t, "fuzzy")
+	src := env.Source
+	other := load(t, "fuzzy")
+	if _, err := other.Reload(insertNull(t, src)); err != nil {
+		t.Fatal(err)
+	}
+	env.Source, env.Graph = other.Source, other.Graph
+	delta, err := env.Reload(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Full || delta.Empty() {
+		t.Fatalf("undoing a one-behavior edit: delta %+v", delta)
+	}
+	fresh := load(t, "fuzzy")
+	if !bytes.Equal(reloadBytes(t, env.Graph), reloadBytes(t, fresh.Graph)) {
+		t.Error("reload after Source was set diverges from a full build")
+	}
+}
+
+// sessionEditor makes seeded edits of one session's source, in the mix an
+// editing designer makes: mostly a null statement toggled at the head of a
+// random process (a patch), some comment-only edits (an empty delta) and
+// some toggles of an unused architecture-level signal (a full rebuild).
+type sessionEditor struct {
+	df    *vhdl.DesignFile
+	procs []*vhdl.ProcessStmt
+	sig   *vhdl.ObjectDecl
+	rng   *rand.Rand
+	n     int
+	text  string
+}
+
+func newSessionEditor(t testing.TB, src string, seed int64) *sessionEditor {
+	df := vhdl.MustParse(src)
+	e := &sessionEditor{df: df, procs: df.Architectures[0].Processes, rng: rand.New(rand.NewSource(seed)), text: src}
+	if len(e.procs) == 0 {
+		t.Fatal("no process to edit")
+	}
+	return e
+}
+
+func (e *sessionEditor) next() string {
+	e.n++
+	arch := e.df.Architectures[0]
+	switch r := e.rng.Intn(10); {
+	case r == 0:
+		return fmt.Sprintf("%s-- edit %d\n", e.text, e.n)
+	case r == 1 && e.sig != nil:
+		for i, d := range arch.Decls {
+			if d == vhdl.Decl(e.sig) {
+				arch.Decls = append(arch.Decls[:i:i], arch.Decls[i+1:]...)
+				break
+			}
+		}
+		e.sig = nil
+	case r == 1:
+		e.sig = &vhdl.ObjectDecl{Class: vhdl.ClassSignal, Names: []string{"edit_unused"}, Type: &vhdl.TypeRef{Name: "integer"}}
+		arch.Decls = append(arch.Decls[:len(arch.Decls):len(arch.Decls)], e.sig)
+	default:
+		p := e.procs[e.rng.Intn(len(e.procs))]
+		if len(p.Body) > 0 {
+			if _, ok := p.Body[0].(*vhdl.NullStmt); ok {
+				p.Body = p.Body[1:]
+				break
+			}
+		}
+		p.Body = append([]vhdl.Stmt{&vhdl.NullStmt{}}, p.Body...)
+	}
+	e.text = vhdl.Format(e.df)
+	return e.text
+}
+
+// TestReloadInterleavedSessions reloads seeded edits on five sessions at
+// once, one goroutine each: the paper examples and syn-p128. Each session
+// keeps the front end of its own source, so every reload must give the
+// graph a fresh build of its source gives, byte for byte and in every
+// lookup index, and most must patch. The goroutines only reload and keep
+// each graph; the test goroutine compares them afterwards.
+func TestReloadInterleavedSessions(t *testing.T) {
+	edits := 12
+	if testing.Short() {
+		edits = 4
+	}
+	type step struct {
+		src   string
+		g     *core.Graph
+		delta builder.Delta
+	}
+	names := []string{"ans", "ether", "fuzzy", "vol", "syn-p128"}
+	session := func(name, src string) *Env {
+		var env *Env
+		if name == "syn-p128" {
+			env = New()
+			if src == "" {
+				src = syngen.Generate(syngen.Config{Seed: 7, Processes: 128})
+			}
+		} else {
+			env = load(t, name)
+		}
+		if src != "" {
+			env.LoadVHDL(src)
+			if err := env.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return env
+	}
+	steps := make([][]step, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		env := session(name, "")
+		ed := newSessionEditor(t, env.Source, int64(i+1))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < edits; k++ {
+				src := ed.next()
+				delta, err := env.Reload(src)
+				if err != nil {
+					t.Errorf("%s: edit %d: %v", name, k, err)
+					return
+				}
+				steps[i] = append(steps[i], step{src, env.Graph, delta})
+			}
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		patches := 0
+		for k, st := range steps[i] {
+			if !st.delta.Full && !st.delta.Empty() {
+				patches++
+			}
+			want := session(name, st.src)
+			if !bytes.Equal(reloadBytes(t, st.g), reloadBytes(t, want.Graph)) {
+				t.Fatalf("%s: edit %d (delta %+v): reload diverges from a fresh build", name, k, st.delta)
+			}
+			graphtest.SameIndexes(t, st.g, want.Graph)
+		}
+		if patches == 0 {
+			t.Errorf("%s: no edit of %d was a patch", name, len(steps[i]))
+		}
 	}
 }

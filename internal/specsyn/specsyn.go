@@ -38,6 +38,13 @@ type Env struct {
 	// state too. A pointer so shallow Env copies share one cache (and stay
 	// vet-clean); nil (a zero-literal Env) just disables the reuse.
 	depsCache *estimate.DepsCache
+
+	// fe is the front end of Source as the last Build or Reload made it,
+	// the base the next Reload diffs against. It counts only while its
+	// source equals Source: a caller that sets Source and Graph directly
+	// (a restored checkpoint) leaves it stale, and the next Reload parses
+	// Source once instead.
+	fe *builder.FrontEnd
 }
 
 // New returns an empty session with the standard library and profile.
@@ -115,21 +122,26 @@ func (e *Env) Build() error {
 		return err
 	}
 	e.Design, e.Graph = d, g
+	e.fe = builder.FromDesign(e.Source, d)
 	e.BuildTime = time.Since(start)
 	return nil
 }
 
 // Reload swaps in an edited specification source, rebuilding the SLIF
-// graph incrementally against the current one (builder.Rebuild): a
-// semantically empty edit keeps the graph — and every compiled estimator
-// structure — untouched; a localized edit builds a new graph that shares
-// every untouched node and channel with the current one, and re-applies
-// the allocation; anything else falls back to a full build, with the
-// reason in the Delta. A graph an in-place transform (the shell's inline
-// or merge) edited is no build of any source, so the next semantic edit
+// graph incrementally against the current one (builder.RebuildFrom): a
+// semantically empty edit keeps the graph and the design — and every
+// compiled estimator structure — untouched; a localized edit builds a new
+// graph that shares every untouched node and channel with the current one,
+// and re-applies the allocation; anything else falls back to a full build,
+// with the reason in the Delta. Only the new source goes through the front
+// end: the session keeps the front end of its current source from the
+// last Build or Reload, and parses Source again only when Source was set
+// without either. A graph an in-place transform (the shell's inline or
+// merge) edited is no build of any source, so the next semantic edit
 // rebuilds it fully and the transform is dropped. The current graph is
 // never mutated, so searches already running on it stay consistent. On
-// error the session keeps its previous source, design and graph.
+// error the session keeps its previous source, design, graph and front
+// end.
 func (e *Env) Reload(src string) (builder.Delta, error) {
 	if e.Graph == nil || e.Source == "" {
 		prevSrc := e.Source
@@ -141,7 +153,12 @@ func (e *Env) Reload(src string) (builder.Delta, error) {
 		return builder.Delta{Full: true, Reason: "no previous build"}, nil
 	}
 	start := time.Now()
-	g, delta, err := builder.Rebuild(e.Graph, e.Source, src, builder.Options{
+	prev := e.fe
+	if prev == nil || prev.Source() != e.Source {
+		// A source that no longer parses leaves prev nil: a full rebuild.
+		prev, _ = builder.NewFrontEnd(e.Source)
+	}
+	g, fe, delta, err := builder.RebuildFrom(e.Graph, prev, src, builder.Options{
 		Profile:   e.Prof,
 		Techs:     e.Lib.Techs,
 		Overrides: e.Overrides,
@@ -149,28 +166,15 @@ func (e *Env) Reload(src string) (builder.Delta, error) {
 	if err != nil {
 		return builder.Delta{}, err
 	}
-	if delta.Empty() {
-		// Comment or formatting edit: the graph pointer — and with it the
-		// elaborated design and every compiled estimator structure — stays
-		// as it was; only the source text advances so the next diff runs
-		// against the right base.
-		e.Source = src
-		e.BuildTime = time.Since(start)
-		return delta, nil
+	// A comment or formatting edit keeps the graph pointer, and with it
+	// the design and every compiled estimator structure.
+	if !delta.Empty() {
+		if err := e.Lib.Apply(g); err != nil {
+			return delta, err
+		}
+		e.Design, e.Graph = fe.Design(), g
 	}
-	if err := e.Lib.Apply(g); err != nil {
-		return delta, err
-	}
-	// The design matching the new graph comes out of the front-end cache
-	// Rebuild just populated, so this re-parses nothing. It is fetched —
-	// and checked — before any session field changes, so a failure leaves
-	// the previous source, design and graph fully intact.
-	_, d, err := builder.Frontend(src)
-	if err != nil {
-		return delta, fmt.Errorf("specsyn: reload front end: %w", err)
-	}
-	e.Design = d
-	e.Source, e.Graph = src, g
+	e.Source, e.fe = src, fe
 	e.BuildTime = time.Since(start)
 	return delta, nil
 }

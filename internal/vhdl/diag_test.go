@@ -2,6 +2,7 @@ package vhdl
 
 import (
 	"regexp"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -62,5 +63,35 @@ func TestLexInvalidRunFlatStack(t *testing.T) {
 	}
 	if got := errs[0].Error(); got != `1:3: 3 invalid characters starting with "$"` {
 		t.Errorf("run diagnostic %q", got)
+	}
+}
+
+// TestParseDiagnosticsCapped: input made of nothing but errors stops after
+// maxDiagnostics of them, whether they are syntax errors (one per ';') or
+// lexical ones (one per "$"), so 16 MB of it costs what its first hundred
+// errors cost, and the error says the list was cut.
+func TestParseDiagnosticsCapped(t *testing.T) {
+	for _, unit := range []string{";", "$ "} {
+		src := strings.Repeat(unit, (16<<20)/len(unit))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Parse(src)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%q: no error", unit)
+		}
+		lines := strings.Split(err.Error(), "\n")
+		if len(lines) > maxDiagnostics+1 || lines[len(lines)-1] != "too many errors" {
+			t.Errorf("%q: %d lines ending %q; want at most %d ending \"too many errors\"",
+				unit, len(lines), lines[len(lines)-1], maxDiagnostics+1)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+			t.Errorf("%q: Parse allocated %d MB, want under 64", unit, alloc>>20)
+		}
+	}
+	// Below the cap nothing is cut.
+	_, err := Parse(strings.Repeat(";", maxDiagnostics-1))
+	if n := strings.Count(err.Error(), "\n") + 1; n != maxDiagnostics-1 || strings.Contains(err.Error(), "too many") {
+		t.Errorf("%d errors under the cap: got %d lines (%.80q...)", maxDiagnostics-1, n, err)
 	}
 }

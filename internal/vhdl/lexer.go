@@ -23,16 +23,35 @@ type Lexer struct {
 	line   int
 	col    int
 	Errors []*LexError
+	room   int // diagnostics still allowed; see maxDiagnostics
 }
+
+// maxDiagnostics bounds the diagnostics a lexer and the parser over it
+// record together. The one that reaches it stops the lexer, as if the
+// input ended there, so hostile input costs time and memory in proportion
+// to the bound, not to its length.
+const maxDiagnostics = 100
 
 // NewLexer returns a lexer over src. File is consumed as raw bytes; VHDL
 // source in the subset is ASCII.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src, line: 1, col: 1, room: maxDiagnostics}
+}
+
+// stopped reports whether the lexer reached maxDiagnostics.
+func (l *Lexer) stopped() bool { return l.room == 0 }
+
+// spend counts one diagnostic against maxDiagnostics; the last one allowed
+// stops the lexer.
+func (l *Lexer) spend() {
+	if l.room--; l.room == 0 {
+		l.off = len(l.src)
+	}
 }
 
 func (l *Lexer) errorf(p Pos, format string, args ...any) {
 	l.Errors = append(l.Errors, &LexError{Pos: p, Msg: fmt.Sprintf(format, args...)})
+	l.spend()
 }
 
 func (l *Lexer) peek() byte {
@@ -281,8 +300,8 @@ func (l *Lexer) strlit(p Pos) Token {
 }
 
 // LexAll tokenizes the whole input, returning the tokens (terminated by a
-// single EOF token) and any lexical errors. The parser does not use it: it
-// pulls tokens from a Lexer one at a time.
+// single EOF token) and any lexical errors, up to maxDiagnostics of them.
+// The parser does not use it: it pulls tokens from a Lexer one at a time.
 func LexAll(src string) ([]Token, []*LexError) {
 	l := NewLexer(src)
 	// Pre-size for the observed token density of the subset (one token per

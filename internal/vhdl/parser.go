@@ -14,9 +14,9 @@ type ParseError struct {
 
 func (e *ParseError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-// Parser is a recursive-descent parser for the VHDL subset. It records all
-// errors it encounters and synchronizes on semicolons, so one syntax error
-// does not hide later ones.
+// Parser is a recursive-descent parser for the VHDL subset. It records the
+// errors it encounters, up to maxDiagnostics, and synchronizes on
+// semicolons, so one syntax error does not hide later ones.
 //
 // Tokens stream in from a Lexer: the parser never holds more than the
 // current token and the two after it, its deepest lookahead (a label, its
@@ -78,7 +78,8 @@ func (p *Parser) skipToEOF() {
 
 // Parse parses a complete design file. It returns the (possibly partial)
 // tree and an error summarizing all lexical and syntax diagnostics, or nil
-// if the file is clean.
+// if the file is clean. After maxDiagnostics of them it stops reading the
+// input, and the error ends with a "too many errors" line.
 func Parse(src string) (*DesignFile, error) {
 	p := newParser(src)
 	df := p.parseDesignFile()
@@ -88,6 +89,9 @@ func Parse(src string) (*DesignFile, error) {
 	}
 	for _, e := range p.Errors {
 		msgs = append(msgs, e.Error())
+	}
+	if p.lex.stopped() {
+		msgs = append(msgs, "too many errors")
 	}
 	if len(msgs) > 0 {
 		return df, errors.New(strings.Join(msgs, "\n"))
@@ -132,10 +136,11 @@ func (p *Parser) accept(k Kind) bool {
 }
 
 func (p *Parser) errorf(pos Pos, format string, args ...any) {
-	if p.halted {
+	if p.halted || p.lex.stopped() {
 		return
 	}
 	p.Errors = append(p.Errors, &ParseError{Pos: pos, Msg: fmt.Sprintf(format, args...)})
+	p.lex.spend()
 }
 
 // expect consumes a token of kind k or records an error. It returns the
