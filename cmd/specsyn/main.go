@@ -6,6 +6,7 @@
 // Usage:
 //
 //	specsyn build     -vhd f.vhd [-prob f.prob] [-lib f.lib] [-ov f.ov] [-o out.slif] [-dot out.dot]
+//	specsyn build     -slif f.slif [-o out.slif] [-dot out.dot]        read a .slif back
 //	specsyn estimate  -vhd f.vhd [...] [-split]         estimate a partition
 //	specsyn partition -vhd f.vhd [...] -algo gm [-deadline proc=us] [-seed n] [-iters n] [-timeout d] [-max-evals n] [-legs n] [-share] [-round-evals n]
 //	specsyn xform     -vhd f.vhd [...] -inline-all | -merge a,b
@@ -117,38 +118,60 @@ func inputFlags(fs *flag.FlagSet) func() *specsyn.Env {
 func runBuild(args []string) {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	load := inputFlags(fs)
+	in := fs.String("slif", "", "read this .slif file in place of -vhd")
 	out := fs.String("o", "", "write the SLIF graph to this .slif file")
-	dot := fs.String("dot", "", "write a Graphviz rendering to this file")
+	dot := fs.String("dot", "", "write a Graphviz rendering to this file (clustered when the graph carries a partition)")
 	_ = fs.Parse(args)
 
-	env := load()
-	st := env.Graph.Stats()
-	fmt.Printf("built SLIF for %s in %v\n", env.Graph.Name, env.BuildTime)
+	var g *core.Graph
+	var pt *core.Partition
+	if *in != "" {
+		if fs.Lookup("vhd").Value.String() != "" {
+			fatal(fmt.Errorf("build takes -vhd or -slif, not both"))
+		}
+		f, err := os.Open(*in)
+		if err != nil {
+			fatal(err)
+		}
+		g, pt, err = core.Read(f)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("read SLIF for %s from %s\n", g.Name, *in)
+	} else {
+		env := load()
+		g = env.Graph
+		fmt.Printf("built SLIF for %s in %v\n", g.Name, env.BuildTime)
+	}
+	st := g.Stats()
 	fmt.Printf("  %d BV nodes (%d behaviors, %d variables), %d ports, %d channels\n",
-		st.BV, len(env.Graph.Behaviors()), len(env.Graph.Variables()), st.IO, st.Channels)
+		st.BV, len(g.Behaviors()), len(g.Variables()), st.IO, st.Channels)
 	fmt.Printf("  allocation: %d processors, %d memories, %d buses\n", st.Procs, st.Mems, st.Buses)
 
-	if *out != "" {
-		f, err := os.Create(*out)
+	write := func(path string, w func(*os.File) error) {
+		f, err := os.Create(path)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		if err := core.Write(f, env.Graph, nil); err != nil {
+		if err := w(f); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("  wrote %s\n", *out)
+		if err := f.Close(); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("  wrote %s\n", path)
+	}
+	if *out != "" {
+		write(*out, func(f *os.File) error { return core.Write(f, g, pt) })
 	}
 	if *dot != "" {
-		f, err := os.Create(*dot)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := core.WriteDOT(f, env.Graph); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("  wrote %s\n", *dot)
+		write(*dot, func(f *os.File) error {
+			if pt != nil {
+				return core.WriteDOTPartition(f, g, pt)
+			}
+			return core.WriteDOT(f, g)
+		})
 	}
 }
 
@@ -278,26 +301,24 @@ func runXform(args []string) {
 		before.BV, before.Channels, xform.Traffic(g))
 
 	if *inlineAll {
-		inlined, err := xform.InlineAll(g)
+		ng, inlined, err := xform.InlineAll(g)
 		if err != nil {
 			fatal(err)
 		}
+		g = ng
 		fmt.Printf("inlined: %s\n", strings.Join(inlined, ", "))
 	}
 	if *merge != "" {
-		parts := strings.Split(*merge, ",")
-		if len(parts) != 2 {
+		a, b, ok := strings.Cut(*merge, ",")
+		if !ok || strings.Contains(b, ",") {
 			fatal(fmt.Errorf("-merge wants a,b"))
 		}
-		a, b := g.NodeByName(strings.TrimSpace(parts[0])), g.NodeByName(strings.TrimSpace(parts[1]))
-		if a == nil || b == nil {
-			fatal(fmt.Errorf("unknown process in -merge %q", *merge))
-		}
-		merged, err := xform.MergeProcesses(g, a, b, a.Name+"_"+b.Name)
+		ng, merged, err := xform.MergeProcesses(g, strings.TrimSpace(a), strings.TrimSpace(b), "")
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("merged into %s\n", merged.Name)
+		g = ng
+		fmt.Printf("merged into %s\n", merged)
 	}
 
 	after := g.Stats()

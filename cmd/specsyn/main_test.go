@@ -223,3 +223,41 @@ func TestSearchRefusals(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildReadsSlif: build writes fuzzy's .slif and DOT with -o and
+// -dot; build -slif reads the file back and writes both again, byte for
+// byte. A file that carries a partition draws the clustered DOT.
+func TestBuildReadsSlif(t *testing.T) {
+	dir := t.TempDir()
+	path := func(name string) string { return filepath.Join(dir, name) }
+	read := func(name string) string {
+		t.Helper()
+		data, err := os.ReadFile(path(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	runBuild([]string{"-vhd", filepath.Join(testdata, "fuzzy.vhd"), "-prob", filepath.Join(testdata, "fuzzy.prob"),
+		"-ov", filepath.Join(testdata, "fuzzy.ov"), "-lib", filepath.Join(testdata, "std.lib"),
+		"-o", path("a.slif"), "-dot", path("a.dot")})
+	runBuild([]string{"-slif", path("a.slif"), "-o", path("b.slif"), "-dot", path("b.dot")})
+	if read("a.slif") != read("b.slif") {
+		t.Error("build -slif -o does not reproduce the file it read")
+	}
+	if read("a.dot") != read("b.dot") {
+		t.Error("build -slif -dot differs from build -vhd -dot")
+	}
+
+	f := newFrontEnds(t, filepath.Join(testdata, "fuzzy.vhd"), "")
+	if out := f.shell(t, "map convolve asic\nsave "+path("p.slif")); strings.Contains(out, "error:") {
+		t.Fatal(out)
+	}
+	runBuild([]string{"-slif", path("p.slif"), "-o", path("q.slif"), "-dot", path("q.dot")})
+	if read("p.slif") != read("q.slif") {
+		t.Error("build -slif -o drops the partition it read")
+	}
+	if !strings.Contains(read("q.dot"), "subgraph cluster_") {
+		t.Error("DOT of a partitioned file is not clustered")
+	}
+}

@@ -46,29 +46,30 @@ func main() {
 	if err := env.Build(); err != nil {
 		log.Fatal(err)
 	}
-	g := env.Graph
-
 	report := func(label string) {
-		st := g.Stats()
+		st := env.Graph.Stats()
 		fmt.Printf("%-28s %3d nodes %3d channels   traffic %8.1f bits/iter\n",
-			label, st.BV, st.Channels, xform.Traffic(g))
+			label, st.BV, st.Channels, xform.Traffic(env.Graph))
 	}
 	report("original specification:")
 
 	// 1. Inline every single-caller helper: the classic pre-synthesis
-	// cleanup. Node and channel counts drop; traffic is invariant.
-	inlined, err := xform.InlineAll(g)
+	// cleanup. Node and channel counts drop; traffic is invariant. Each
+	// transform returns a new graph, which the session installs.
+	g, inlined, err := xform.InlineAll(env.Graph)
 	if err != nil {
 		log.Fatal(err)
 	}
+	env.Graph = g
 	report(fmt.Sprintf("after inlining %d helpers:", len(inlined)))
 	fmt.Printf("  inlined: %v\n", inlined)
 
 	// 2. Merge the two processes for a single-controller implementation.
-	merged, err := xform.MergeProcesses(g, g.NodeByName("volmain"), g.NodeByName("calproc"), "volunit")
+	g, merged, err := xform.MergeProcesses(env.Graph, "volmain", "calproc", "volunit")
 	if err != nil {
 		log.Fatal(err)
 	}
+	env.Graph = g
 	report("after merging the processes:")
 
 	// The merged process's weights are the sums, so one controller runs
@@ -81,5 +82,5 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsingle-controller estimate (process %s):\n%s", merged.Name, rep)
+	fmt.Printf("\nsingle-controller estimate (process %s):\n%s", merged, rep)
 }

@@ -16,8 +16,8 @@
 // (ports, arch-level declarations), any change to the unit or object
 // sequence (add/remove/rename/reorder, signature or type edits, implicit
 // symbols appearing or vanishing), ambiguous duplicate unit paths, or a
-// previous graph whose nodes are not laid out as Build lays them out (an
-// in-place transform edited it).
+// previous graph whose nodes are not laid out as Build lays them out (a
+// transform made it).
 
 package builder
 
@@ -334,9 +334,9 @@ func patch(prev *core.Graph, d *sem.Design, opts Options, affected map[string]*s
 // builderForm reports whether g's nodes are d's behaviors then d's
 // objects, by UniqueID and in order, as Build lays them out. patch finds
 // each behavior's node by that position, and the caller closure reads
-// prev's access relation. An in-place transform (xform's inline or merge)
-// breaks the layout, and a graph it edited is no build of any source, so
-// it must not be patched.
+// prev's access relation. A transform (xform's inline or merge) breaks
+// the layout, and the graph it returns is no build of any source, so it
+// must not be patched.
 func builderForm(g *core.Graph, d *sem.Design) bool {
 	if len(g.Nodes) != len(d.Behaviors)+len(d.Objects) {
 		return false

@@ -550,8 +550,9 @@ func (g *Graph) Clone(withComponents bool) *Graph {
 }
 
 // RemoveNode deletes a node and every channel touching it. It is the
-// low-level mutation used by the transformation engine; the caller must
-// keep any Partition over the graph consistent itself.
+// low-level mutation the transformation engine applies to its own copy
+// of a graph; the caller must keep any Partition over the graph
+// consistent itself.
 func (g *Graph) RemoveNode(n *Node) {
 	if g.nodeByName[n.Name] != n {
 		return

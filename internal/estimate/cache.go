@@ -8,13 +8,17 @@ import (
 
 // DepsCache memoizes the compiled snapshot and dependency index of the
 // current graph across estimator and evaluator constructions, keyed by
-// graph identity. It exists for the interactive reload loop: an
-// incremental rebuild that finds no semantic change keeps the graph
-// pointer, so the next partition search reuses the compiled state instead
-// of paying NewDeps again; any new graph pointer naturally misses and
-// replaces the entry. One entry suffices — a session has one current
-// graph — and errors are cached too, so a recursive design does not
-// recompile on every search just to fail again.
+// graph pointer. A graph installed in a session is read-only: a reload
+// or a transform installs a new graph rather than editing the old one, so
+// a pointer always names the same content and the key cannot go stale.
+// An empty-delta reload keeps the graph pointer, and the next search
+// reuses the compiled state instead of paying NewDeps again; any new
+// graph misses and replaces the entry. One entry suffices — a session has
+// one current graph — and errors are cached too, so a recursive design
+// does not recompile on every search just to fail again. Searches over
+// two graphs at once (one still running on the graph a reload replaced)
+// take turns at the entry and may compile again; each still gets its own
+// graph's index.
 //
 // The zero value is ready to use. Safe for concurrent use.
 type DepsCache struct {
@@ -36,13 +40,4 @@ func (c *DepsCache) For(g *core.Graph) (*Deps, error) {
 	deps, err := NewDeps(g)
 	c.g, c.deps, c.err = g, deps, err
 	return deps, err
-}
-
-// Invalidate drops the cached entry. Needed only when a graph is mutated
-// in place under the same pointer — the copy-on-write rebuild never does
-// that, but external graph surgery must call this before the next For.
-func (c *DepsCache) Invalidate() {
-	c.mu.Lock()
-	c.g, c.deps, c.err = nil, nil, nil
-	c.mu.Unlock()
 }

@@ -11,7 +11,6 @@ package partition
 
 import (
 	"fmt"
-	"sync"
 
 	"specsyn/internal/core"
 	"specsyn/internal/estimate"
@@ -65,27 +64,23 @@ type Evaluator struct {
 
 	Evals int
 
+	// Deps memoizes the graph's compiled snapshot and dependency index;
+	// it must not be nil. NewEvaluator gives each evaluator its own,
+	// Clone shares it, and a session hands in its own so searches over an
+	// unchanged graph skip recompilation. A parallel fleet of workers
+	// thus pays for compilation once, and every clone's delta evaluator
+	// shrinks to scratch arrays over the one shared copy.
+	Deps *estimate.DepsCache
+
 	totalTraffic float64             // Σ freq×bits over non-port channels, for Comm normalization
 	est          *estimate.Estimator // pooled, rebound per evaluation
 	delta        *DeltaEval          // pooled incremental evaluator (see Delta)
 	deltaErr     error               // sticky: graph does not support incremental evaluation
-	shared       *evalShared         // snapshot + dependency index, shared by all clones
-}
-
-// evalShared is the read-only compiled state an evaluator and all its
-// clones share: the graph's Snapshot and dependency index, built once
-// under a sync.Once so a parallel fleet of workers pays for compilation
-// a single time and every clone's delta evaluator shrinks to scratch
-// arrays over the one shared copy.
-type evalShared struct {
-	once sync.Once
-	deps *estimate.Deps
-	err  error
 }
 
 // NewEvaluator returns an evaluator for g.
 func NewEvaluator(g *core.Graph, cons Constraints, w Weights, estOpt estimate.Options) *Evaluator {
-	ev := &Evaluator{G: g, Cons: cons, W: w, EstOpt: estOpt, shared: &evalShared{}}
+	ev := &Evaluator{G: g, Cons: cons, W: w, EstOpt: estOpt, Deps: &estimate.DepsCache{}}
 	for _, c := range g.Channels {
 		if _, isPort := c.Dst.(*core.Port); isPort {
 			// Port traffic is external under every partition, and the Comm
@@ -102,54 +97,20 @@ func NewEvaluator(g *core.Graph, cons Constraints, w Weights, estOpt estimate.Op
 // options but with its own evaluation counter and estimator pool — the
 // per-worker instance the parallel search engine hands each goroutine.
 // The compiled Snapshot and dependency index are shared with the original
-// (they are immutable), so cloning is cheap no matter the graph size.
+// through Deps (they are immutable), so cloning is cheap no matter the
+// graph size.
 func (ev *Evaluator) Clone() *Evaluator {
-	shared := ev.shared
-	if shared == nil {
-		// A literal-constructed prototype: give the clone its own shared
-		// state rather than racing to lazily install one on the original.
-		shared = &evalShared{}
-	}
 	return &Evaluator{
-		G: ev.G, Cons: ev.Cons, W: ev.W, EstOpt: ev.EstOpt, Hook: ev.Hook,
-		totalTraffic: ev.totalTraffic, shared: shared,
+		G: ev.G, Cons: ev.Cons, W: ev.W, EstOpt: ev.EstOpt, Hook: ev.Hook, Deps: ev.Deps,
+		totalTraffic: ev.totalTraffic,
 	}
-}
-
-// UseDeps pre-seeds the evaluator's shared compiled state with a
-// dependency index already built for ev.G — typically served by an
-// estimate.DepsCache that survives interactive reloads, so a search after
-// an unchanged (or incrementally patched) rebuild skips recompilation.
-// Call it before the first Cost/Snapshot use; once the shared state is
-// populated the call is a no-op. deps must have been built from ev.G.
-func (ev *Evaluator) UseDeps(deps *estimate.Deps) {
-	if deps == nil {
-		return
-	}
-	if ev.shared == nil {
-		ev.shared = &evalShared{}
-	}
-	ev.shared.once.Do(func() { ev.shared.deps = deps })
-}
-
-// sharedDeps returns the evaluator's shared dependency index (and with it
-// the compiled snapshot), building it on first use. Safe to call from any
-// clone concurrently; the build happens once.
-func (ev *Evaluator) sharedDeps() (*estimate.Deps, error) {
-	if ev.shared == nil {
-		ev.shared = &evalShared{}
-	}
-	ev.shared.once.Do(func() {
-		ev.shared.deps, ev.shared.err = estimate.NewDeps(ev.G)
-	})
-	return ev.shared.deps, ev.shared.err
 }
 
 // Snapshot returns the graph's compiled snapshot, shared read-only across
 // the evaluator and every clone. It errors when the graph cannot be
 // compiled.
 func (ev *Evaluator) Snapshot() (*core.Snapshot, error) {
-	deps, err := ev.sharedDeps()
+	deps, err := ev.Deps.For(ev.G)
 	if err != nil {
 		return nil, err
 	}

@@ -137,10 +137,10 @@ func (ev *Evaluator) Delta(pt *core.Partition, policy BusPolicy) (*DeltaEval, er
 }
 
 // newDeltaEval builds the partition-independent tables. The dependency
-// index and compiled snapshot come from the evaluator's shared state, so
-// every clone in a parallel fleet reuses one copy.
+// index and compiled snapshot come from the evaluator's Deps, so every
+// clone in a parallel fleet reuses one copy.
 func newDeltaEval(ev *Evaluator) (*DeltaEval, error) {
-	deps, err := ev.sharedDeps()
+	deps, err := ev.Deps.For(ev.G)
 	if err != nil {
 		return nil, err
 	}

@@ -366,11 +366,11 @@ func (s *Session) cmdInline(args []string) error {
 	if len(callers) != 1 {
 		return fmt.Errorf("%q has %d callers; inline needs exactly one", callee.Name, len(callers))
 	}
-	// Graph surgery invalidates node→component mappings for the removed
-	// node; rebuild the partition from scratch afterwards.
-	if err := xform.Inline(g, callers[0].Src, callee); err != nil {
+	ng, err := xform.Inline(g, callers[0].Src.Name, callee.Name)
+	if err != nil {
 		return err
 	}
+	s.Env.Graph = ng
 	s.resetPartition()
 	fmt.Fprintf(s.out, "inlined %s; partition reset to all-software\n", args[0])
 	return nil
@@ -380,26 +380,20 @@ func (s *Session) cmdMerge(args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("usage: merge <procA> <procB>")
 	}
-	g := s.Env.Graph
-	a, b := g.NodeByName(strings.ToLower(args[0])), g.NodeByName(strings.ToLower(args[1]))
-	if a == nil || b == nil {
-		return fmt.Errorf("unknown process")
-	}
-	merged, err := xform.MergeProcesses(g, a, b, a.Name+"_"+b.Name)
+	ng, merged, err := xform.MergeProcesses(s.Env.Graph, strings.ToLower(args[0]), strings.ToLower(args[1]), "")
 	if err != nil {
 		return err
 	}
+	s.Env.Graph = ng
 	s.resetPartition()
-	fmt.Fprintf(s.out, "merged into %s; partition reset to all-software\n", merged.Name)
+	fmt.Fprintf(s.out, "merged into %s; partition reset to all-software\n", merged)
 	return nil
 }
 
-// resetPartition rebuilds the all-software partition after graph surgery
-// or replacement and clears the undo stack (old snapshots reference stale
-// nodes). It also drops the environment's cached compiled state, which
-// in-place transforms would otherwise leave stale.
+// resetPartition rebuilds the all-software partition after a new graph
+// was installed and clears the undo stack (old snapshots reference the
+// old graph's nodes).
 func (s *Session) resetPartition() {
-	s.Env.InvalidateCompiled()
 	s.Pt = core.AllToProcessor(s.Env.Graph, s.Env.Graph.Procs[0], s.Env.Graph.Buses[0])
 	s.history = nil
 }

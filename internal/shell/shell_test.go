@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -339,5 +340,54 @@ func TestShellReload(t *testing.T) {
 	out = run(t, s, "reload\nreload "+filepath.Join(dir, "missing.vhd")+"\nquit\n")
 	if !strings.Contains(out, "usage: reload") || !strings.Contains(out, "error:") {
 		t.Fatalf("reload error handling:\n%s", out)
+	}
+}
+
+// xySrc has processes x and y and a port named x_y, which is the name
+// `merge x y` would give the merged process.
+const xySrc = `
+entity XYE is
+    port ( din : in integer range 0 to 255;
+           x_y : out integer range 0 to 255 );
+end;
+architecture behav of XYE is
+    signal acc : integer range 0 to 255;
+begin
+    X: process
+    begin
+        acc <= din + acc;
+        wait on din;
+    end process;
+    Y: process
+    begin
+        x_y <= acc;
+        wait on acc;
+    end process;
+end;
+`
+
+// TestShellMergeNameCollision: a merge whose name a port already holds is
+// refused, and the session's graph, estimate and search are as before.
+func TestShellMergeNameCollision(t *testing.T) {
+	env := specsyn.New()
+	env.LoadVHDL(xySrc)
+	if err := env.Build(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := func() string {
+		t.Helper()
+		out := run(t, s, "show nodes\nest\nsearch greedy\nquit\n")
+		return regexp.MustCompile(`estimated in \S+`).ReplaceAllString(out, "estimated in T")
+	}
+	before := probe()
+	if out := run(t, s, "merge x y\nquit\n"); !strings.Contains(out, "error:") {
+		t.Fatalf("merge onto port x_y accepted:\n%s", out)
+	}
+	if after := probe(); after != before {
+		t.Errorf("failed merge changed the session:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }

@@ -14,9 +14,8 @@ import (
 // testdata/golden/fuzzy.slif byte for byte. Regenerate the golden file
 // after an intentional format change with:
 //
-//	go run ./cmd/slifdump -slif -prob testdata/fuzzy.prob \
-//	    -ov testdata/fuzzy.ov -lib testdata/std.lib testdata/fuzzy.vhd \
-//	    > testdata/golden/fuzzy.slif
+//	go run ./cmd/specsyn build -vhd testdata/fuzzy.vhd -prob testdata/fuzzy.prob \
+//	    -ov testdata/fuzzy.ov -lib testdata/std.lib -o testdata/golden/fuzzy.slif
 func TestGoldenSlif(t *testing.T) {
 	env := load(t, "fuzzy")
 	var buf bytes.Buffer

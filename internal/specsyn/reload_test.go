@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -270,21 +271,21 @@ func TestReloadDuringParallelSearch(t *testing.T) {
 }
 
 // TestReloadAfterTransform is the regression test for reloading over a
-// graph an in-place transform edited (the shell's inline and merge): the
-// graph no longer has the layout a build gives it, so the next semantic
-// edit must rebuild it from scratch rather than patch it.
+// transformed graph (the shell's inline and merge): the graph no longer
+// has the layout a build gives it, so the next semantic edit must rebuild
+// it from scratch rather than patch it.
 func TestReloadAfterTransform(t *testing.T) {
 	for _, name := range []string{"ans", "ether", "fuzzy", "vol"} {
 		t.Run(name, func(t *testing.T) {
 			env := load(t, name)
-			inlined, err := xform.InlineAll(env.Graph)
+			g, inlined, err := xform.InlineAll(env.Graph)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(inlined) == 0 {
 				t.Fatal("InlineAll changed nothing; the test needs a transformed graph")
 			}
-			env.InvalidateCompiled()
+			env.Graph = g
 
 			df := vhdl.MustParse(env.Source)
 			procs := df.Architectures[0].Processes
@@ -309,6 +310,65 @@ func TestReloadAfterTransform(t *testing.T) {
 					len(env.Graph.Nodes), len(fresh.Graph.Nodes))
 			}
 		})
+	}
+}
+
+// TestTransformDuringParallelSearch: a transform installs a new graph and
+// never edits the one a running search reads. A portfolio search on a
+// shallow copy of the session runs while the session inlines, merges and
+// installs the results; it must match the same search on an untouched
+// session bit for bit. The session's compiled state, shared with the
+// copy, must then serve the transformed graph: a search on it matches a
+// fresh session's search over the same transforms.
+func TestTransformDuringParallelSearch(t *testing.T) {
+	ctx := context.Background()
+	// The bus cap keeps every cost above 0, so the costs tell searches apart.
+	spec := SearchSpec{Algo: "portfolio", Seed: 1, ParallelOptions: partition.ParallelOptions{Legs: 4, Workers: 2},
+		Constraints: partition.Constraints{MaxBusRate: map[string]float64{"sysbus": 100}}}
+	key := func(res partition.MultiResult) string {
+		return fmt.Sprintf("cost %#x evals %d", math.Float64bits(res.Cost), res.Report.Evals)
+	}
+	search := func(env *Env) string {
+		t.Helper()
+		res, err := env.Search(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key(res)
+	}
+	transform := func(env *Env) {
+		t.Helper()
+		g, _, err := xform.InlineAll(env.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Graph = g
+		if g, _, err = xform.MergeProcesses(env.Graph, "fuzzymain", "calmain", ""); err != nil {
+			t.Fatal(err)
+		}
+		env.Graph = g
+	}
+
+	want := search(load(t, "fuzzy"))
+	env := load(t, "fuzzy")
+	searchEnv := *env
+	done := make(chan string)
+	go func() {
+		res, err := searchEnv.Search(ctx, spec)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- key(res)
+	}()
+	transform(env)
+	if got := <-done; got != want {
+		t.Errorf("search during transforms: %s, untouched session: %s", got, want)
+	}
+
+	fresh := load(t, "fuzzy")
+	transform(fresh)
+	if got, want := search(env), search(fresh); got != want {
+		t.Errorf("search after transforms: %s, fresh session: %s", got, want)
 	}
 }
 

@@ -124,11 +124,7 @@ func (e *Env) Search(ctx context.Context, spec SearchSpec) (partition.MultiResul
 	}
 	ev := partition.NewEvaluator(e.Graph, spec.Constraints, spec.Weights, estimate.Options{})
 	if e.depsCache != nil {
-		if deps, err := e.depsCache.For(e.Graph); err == nil {
-			// Pre-seed the evaluator with the session-cached compiled state;
-			// on a cache error the evaluator compiles (and reports) itself.
-			ev.UseDeps(deps)
-		}
+		ev.Deps = e.depsCache
 	}
 	cfg := partition.Config{Eval: ev, Policy: partition.DefaultPolicy(e.Graph), Seed: spec.Seed,
 		MaxIters: spec.Iters, MaxEvals: spec.MaxEvals, SwapProb: spec.SwapProb}

@@ -19,7 +19,11 @@ import (
 	"specsyn/internal/vhdl"
 )
 
-// Env is one design session.
+// Env is one design session. A graph installed in Graph is read-only:
+// Reload and the transforms (xform, the shell's inline and merge) install
+// a new graph rather than edit it, so searches already reading the old
+// one stay consistent and the compiled state keyed by its pointer stays
+// valid.
 type Env struct {
 	Source    string // VHDL text
 	Design    *sem.Design
@@ -35,8 +39,9 @@ type Env struct {
 	// depsCache keeps the compiled snapshot and dependency index alive
 	// across searches for the current graph; a Reload that finds no
 	// semantic change keeps the graph pointer and therefore the compiled
-	// state too. A pointer so shallow Env copies share one cache (and stay
-	// vet-clean); nil (a zero-literal Env) just disables the reuse.
+	// state too, and a new graph misses. A pointer so shallow Env copies
+	// share one cache (and stay vet-clean); nil (a zero-literal Env) just
+	// disables the reuse.
 	depsCache *estimate.DepsCache
 
 	// fe is the front end of Source as the last Build or Reload made it,
@@ -136,12 +141,11 @@ func (e *Env) Build() error {
 // with the reason in the Delta. Only the new source goes through the front
 // end: the session keeps the front end of its current source from the
 // last Build or Reload, and parses Source again only when Source was set
-// without either. A graph an in-place transform (the shell's inline or
-// merge) edited is no build of any source, so the next semantic edit
-// rebuilds it fully and the transform is dropped. The current graph is
-// never mutated, so searches already running on it stay consistent. On
-// error the session keeps its previous source, design, graph and front
-// end.
+// without either. A transformed graph (xform, the shell's inline or
+// merge) is no build of any source, so the next semantic edit rebuilds it
+// fully and the transform is dropped. The current graph is never
+// mutated, so searches already running on it stay consistent. On error
+// the session keeps its previous source, design, graph and front end.
 func (e *Env) Reload(src string) (builder.Delta, error) {
 	if e.Graph == nil || e.Source == "" {
 		prevSrc := e.Source
@@ -186,17 +190,6 @@ func (e *Env) ReloadFile(path string) (builder.Delta, error) {
 		return builder.Delta{}, err
 	}
 	return e.Reload(string(data))
-}
-
-// InvalidateCompiled drops the session's cached compiled state (snapshot
-// and dependency index). Required after in-place graph surgery — the
-// transform commands mutate the graph under the same pointer, which the
-// identity-keyed cache cannot see. Reload never needs it: its patches are
-// copy-on-write, so a changed graph is a changed pointer.
-func (e *Env) InvalidateCompiled() {
-	if e.depsCache != nil {
-		e.depsCache.Invalidate()
-	}
 }
 
 // DefaultPartition maps everything onto the first processor and the first

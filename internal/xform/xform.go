@@ -16,6 +16,11 @@
 // Both preserve the invariant the tests check: the total dynamic traffic
 // (Σ accfreq×bits reaching variable and port endpoints) is unchanged, so
 // bitrate and communication estimates stay consistent.
+//
+// Every entry point takes node names, edits one g.Clone(true) and returns
+// it; the input graph is never written, and on error no graph is
+// returned. A graph installed in a session can therefore be transformed
+// while searches still read it.
 package xform
 
 import (
@@ -40,7 +45,21 @@ import (
 // If no other behavior calls the callee afterwards, the callee node and its
 // remaining channels are removed. Recursive edges (caller == callee) are
 // rejected.
-func Inline(g *core.Graph, caller, callee *core.Node) error {
+func Inline(g *core.Graph, caller, callee string) (*core.Graph, error) {
+	ng := g.Clone(true)
+	if err := inline(ng, caller, callee); err != nil {
+		return nil, err
+	}
+	return ng, nil
+}
+
+// inline is Inline on g itself.
+func inline(g *core.Graph, callerName, calleeName string) error {
+	ns, err := nodes(g, callerName, calleeName)
+	if err != nil {
+		return err
+	}
+	caller, callee := ns[0], ns[1]
 	if caller == callee {
 		return fmt.Errorf("xform: cannot inline recursive call %q", caller.Name)
 	}
@@ -96,8 +115,10 @@ func Inline(g *core.Graph, caller, callee *core.Node) error {
 
 // InlineAll inlines every non-process behavior that has exactly one caller
 // (the classic profitable case), repeating until no such behavior remains.
-// It returns the names of the behaviors inlined, in order.
-func InlineAll(g *core.Graph) ([]string, error) {
+// It returns the transformed graph and the names of the behaviors
+// inlined, in order.
+func InlineAll(g *core.Graph) (*core.Graph, []string, error) {
+	g = g.Clone(true)
 	var inlined []string
 	for changed := true; changed; {
 		changed = false
@@ -113,15 +134,15 @@ func InlineAll(g *core.Graph) ([]string, error) {
 			if caller == n {
 				continue // recursion
 			}
-			if err := Inline(g, caller, n); err != nil {
-				return inlined, err
+			if err := inline(g, caller.Name, n.Name); err != nil {
+				return nil, nil, err
 			}
 			inlined = append(inlined, n.Name)
 			changed = true
 			break // indices changed; restart the scan
 		}
 	}
-	return inlined, nil
+	return g, inlined, nil
 }
 
 // MergeProcesses replaces process nodes a and b with a single process named
@@ -136,15 +157,37 @@ func InlineAll(g *core.Graph) ([]string, error) {
 //
 // Channels from other behaviors *to* a or b are redirected to the merged
 // node (frequencies summing when both were accessed).
-func MergeProcesses(g *core.Graph, a, b *core.Node, name string) (*core.Node, error) {
+//
+// An empty name means a_b. The name may be a's or b's own, but no other
+// node's and no port's. MergeProcesses returns the transformed graph and
+// the merged process's name.
+func MergeProcesses(g *core.Graph, a, b, name string) (*core.Graph, string, error) {
+	if name == "" {
+		name = a + "_" + b
+	}
+	ng := g.Clone(true)
+	if err := mergeProcesses(ng, a, b, name); err != nil {
+		return nil, "", err
+	}
+	return ng, name, nil
+}
+
+// mergeProcesses is MergeProcesses on g itself. It refuses before its
+// first edit.
+func mergeProcesses(g *core.Graph, aName, bName, name string) error {
+	ns, err := nodes(g, aName, bName)
+	if err != nil {
+		return err
+	}
+	a, b := ns[0], ns[1]
 	if !a.IsProcess || !b.IsProcess {
-		return nil, fmt.Errorf("xform: merge requires two process nodes")
+		return fmt.Errorf("xform: merge requires two process nodes")
 	}
 	if a == b {
-		return nil, fmt.Errorf("xform: cannot merge %q with itself", a.Name)
+		return fmt.Errorf("xform: cannot merge %q with itself", a.Name)
 	}
-	if g.NodeByName(name) != nil && g.NodeByName(name) != a && g.NodeByName(name) != b {
-		return nil, fmt.Errorf("xform: node %q already exists", name)
+	if n := g.NodeByName(name); (n != nil && n != a && n != b) || g.PortByName(name) != nil {
+		return fmt.Errorf("xform: name %q already exists", name)
 	}
 
 	merged := &core.Node{Name: name, Kind: core.BehaviorNode, IsProcess: true}
@@ -205,7 +248,7 @@ func MergeProcesses(g *core.Graph, a, b *core.Node, name string) (*core.Node, er
 	g.RemoveNode(a)
 	g.RemoveNode(b)
 	if err := g.AddNode(merged); err != nil {
-		return nil, err
+		return err
 	}
 	for _, dstName := range outOrder {
 		f := outgoing[dstName]
@@ -215,14 +258,14 @@ func MergeProcesses(g *core.Graph, a, b *core.Node, name string) (*core.Node, er
 		} else if p := g.PortByName(dstName); p != nil {
 			dst = p
 		} else {
-			return nil, fmt.Errorf("xform: merged channel destination %q vanished", dstName)
+			return fmt.Errorf("xform: merged channel destination %q vanished", dstName)
 		}
 		if err := g.AddChannel(&core.Channel{
 			Src: merged, Dst: dst,
 			AccFreq: f.freq, AccMin: f.min, AccMax: f.max,
 			Bits: f.bits, Tag: core.NoTag,
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, src := range inOrder {
@@ -232,10 +275,21 @@ func MergeProcesses(g *core.Graph, a, b *core.Node, name string) (*core.Node, er
 			AccFreq: f.freq, AccMin: f.min, AccMax: f.max,
 			Bits: f.bits, Tag: core.NoTag,
 		}); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return merged, nil
+	return nil
+}
+
+// nodes looks up g's nodes by name.
+func nodes(g *core.Graph, names ...string) ([]*core.Node, error) {
+	ns := make([]*core.Node, len(names))
+	for i, name := range names {
+		if ns[i] = g.NodeByName(name); ns[i] == nil {
+			return nil, fmt.Errorf("xform: unknown node %q", name)
+		}
+	}
+	return ns, nil
 }
 
 // Traffic returns the total dynamic data traffic per system iteration: for

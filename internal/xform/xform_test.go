@@ -1,11 +1,13 @@
 package xform
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"specsyn/internal/core"
+	"specsyn/internal/graphtest"
 )
 
 // callGraph builds:
@@ -47,7 +49,8 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func TestInlineSharedCalleeKept(t *testing.T) {
 	g := callGraph(t)
 	before := Traffic(g)
-	if err := Inline(g, g.NodeByName("p1"), g.NodeByName("helper")); err != nil {
+	g, err := Inline(g, "p1", "helper")
+	if err != nil {
 		t.Fatal(err)
 	}
 	// p1 absorbed helper's accesses: p1→arr freq 2×5 = 10.
@@ -79,11 +82,11 @@ func TestInlineSharedCalleeKept(t *testing.T) {
 }
 
 func TestInlineLastCallerRemovesCallee(t *testing.T) {
-	g := callGraph(t)
-	if err := Inline(g, g.NodeByName("p1"), g.NodeByName("helper")); err != nil {
+	g, err := Inline(callGraph(t), "p1", "helper")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Inline(g, g.NodeByName("p2"), g.NodeByName("helper")); err != nil {
+	if g, err = Inline(g, "p2", "helper"); err != nil {
 		t.Fatal(err)
 	}
 	if g.NodeByName("helper") != nil {
@@ -107,7 +110,8 @@ func TestInlineMergesWithExistingChannel(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := Inline(g, g.NodeByName("p1"), g.NodeByName("helper")); err != nil {
+	g, err := Inline(g, "p1", "helper")
+	if err != nil {
 		t.Fatal(err)
 	}
 	c := g.FindChannel("p1", "arr")
@@ -121,17 +125,16 @@ func TestInlineMergesWithExistingChannel(t *testing.T) {
 
 func TestInlineRejections(t *testing.T) {
 	g := callGraph(t)
-	p1 := g.NodeByName("p1")
-	if err := Inline(g, p1, p1); err == nil {
+	if _, err := Inline(g, "p1", "p1"); err == nil {
 		t.Error("self-inline accepted")
 	}
-	if err := Inline(g, p1, g.NodeByName("p2")); err == nil {
+	if _, err := Inline(g, "p1", "p2"); err == nil {
 		t.Error("inlining a process accepted")
 	}
-	if err := Inline(g, p1, g.NodeByName("v")); err == nil {
+	if _, err := Inline(g, "p1", "v"); err == nil {
 		t.Error("inlining a variable accepted")
 	}
-	if err := Inline(g, g.NodeByName("p2"), g.NodeByName("arr")); err == nil {
+	if _, err := Inline(g, "p2", "arr"); err == nil {
 		t.Error("inline without a call channel accepted")
 	}
 }
@@ -150,7 +153,7 @@ func TestInlineAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := Traffic(g)
-	inlined, err := InlineAll(g)
+	g, inlined, err := InlineAll(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +174,11 @@ func TestInlineAll(t *testing.T) {
 func TestMergeProcesses(t *testing.T) {
 	g := callGraph(t)
 	before := Traffic(g)
-	merged, err := MergeProcesses(g, g.NodeByName("p1"), g.NodeByName("p2"), "p12")
+	g, name, err := MergeProcesses(g, "p1", "p2", "p12")
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := g.NodeByName(name)
 	if !merged.IsProcess {
 		t.Error("merged node lost process flag")
 	}
@@ -210,14 +214,13 @@ func TestMergeCrossAccessBecomesInternal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	merged, err := MergeProcesses(g, g.NodeByName("p1"), g.NodeByName("p2"), "p12")
+	g, _, err := MergeProcesses(g, "p1", "p2", "p12")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.FindChannel("p12", "p12") != nil {
 		t.Error("self-channel created from cross access")
 	}
-	_ = merged
 }
 
 func TestMergeIncomingRedirected(t *testing.T) {
@@ -233,7 +236,8 @@ func TestMergeIncomingRedirected(t *testing.T) {
 	if err := g.AddChannel(&core.Channel{Src: caller, Dst: g.NodeByName("p2"), AccFreq: 2, Bits: 8, Tag: core.NoTag}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MergeProcesses(g, g.NodeByName("p1"), g.NodeByName("p2"), "p12"); err != nil {
+	g, _, err := MergeProcesses(g, "p1", "p2", "p12")
+	if err != nil {
 		t.Fatal(err)
 	}
 	if c := g.FindChannel("caller", "p12"); c == nil || !almost(c.AccFreq, 2) {
@@ -243,15 +247,20 @@ func TestMergeIncomingRedirected(t *testing.T) {
 
 func TestMergeRejections(t *testing.T) {
 	g := callGraph(t)
-	p1 := g.NodeByName("p1")
-	if _, err := MergeProcesses(g, p1, p1, "x"); err == nil {
+	if _, _, err := MergeProcesses(g, "p1", "p1", "x"); err == nil {
 		t.Error("self-merge accepted")
 	}
-	if _, err := MergeProcesses(g, p1, g.NodeByName("helper"), "x"); err == nil {
+	if _, _, err := MergeProcesses(g, "p1", "helper", "x"); err == nil {
 		t.Error("merging a procedure accepted")
 	}
-	if _, err := MergeProcesses(g, p1, g.NodeByName("p2"), "v"); err == nil {
+	if _, _, err := MergeProcesses(g, "p1", "p2", "v"); err == nil {
 		t.Error("name collision accepted")
+	}
+	if err := g.AddPort(&core.Port{Name: "p1_p2", Dir: core.In, Bits: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := MergeProcesses(g, "p1", "p2", ""); err == nil {
+		t.Error("port name collision accepted")
 	}
 }
 
@@ -263,12 +272,90 @@ func TestInlineTrafficInvariantQuick(t *testing.T) {
 		g.FindChannel("p1", "helper").AccFreq = float64(callF%20) + 1
 		g.FindChannel("helper", "arr").AccFreq = float64(accF%20) + 1
 		before := Traffic(g)
-		if err := Inline(g, g.NodeByName("p1"), g.NodeByName("helper")); err != nil {
+		g, err := Inline(g, "p1", "helper")
+		if err != nil {
 			return false
 		}
 		return almost(Traffic(g), before) && g.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInputGraphUnchanged: no entry point writes its input graph, on
+// success or on error. The input's compiled bytes and its lookup indexes
+// must match a copy taken before the call, and the call must return a
+// graph exactly when it returns no error.
+func TestInputGraphUnchanged(t *testing.T) {
+	compiled := func(g *core.Graph) []byte {
+		t.Helper()
+		s, err := core.Compile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	withPort := func(t testing.TB) *core.Graph {
+		g := callGraph(t)
+		if err := g.AddPort(&core.Port{Name: "p1_p2", Dir: core.In, Bits: 8}); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name    string
+		graph   func(testing.TB) *core.Graph
+		run     func(*core.Graph) (*core.Graph, error)
+		wantErr bool
+	}{
+		{"inline", callGraph, func(g *core.Graph) (*core.Graph, error) { return Inline(g, "p1", "helper") }, false},
+		{"inline/recursive", callGraph, func(g *core.Graph) (*core.Graph, error) { return Inline(g, "p1", "p1") }, true},
+		{"inline/process", callGraph, func(g *core.Graph) (*core.Graph, error) { return Inline(g, "p1", "p2") }, true},
+		{"inline/no-call", callGraph, func(g *core.Graph) (*core.Graph, error) { return Inline(g, "p2", "arr") }, true},
+		{"inline/unknown", callGraph, func(g *core.Graph) (*core.Graph, error) { return Inline(g, "p1", "nosuch") }, true},
+		{"inline-all", callGraph, func(g *core.Graph) (*core.Graph, error) {
+			g, _, err := InlineAll(g)
+			return g, err
+		}, false},
+		{"merge", callGraph, func(g *core.Graph) (*core.Graph, error) {
+			g, _, err := MergeProcesses(g, "p1", "p2", "")
+			return g, err
+		}, false},
+		{"merge/node-name", callGraph, func(g *core.Graph) (*core.Graph, error) {
+			g, _, err := MergeProcesses(g, "p1", "p2", "helper")
+			return g, err
+		}, true},
+		{"merge/port-name", withPort, func(g *core.Graph) (*core.Graph, error) {
+			g, _, err := MergeProcesses(g, "p1", "p2", "")
+			return g, err
+		}, true},
+		{"merge/procedure", callGraph, func(g *core.Graph) (*core.Graph, error) {
+			g, _, err := MergeProcesses(g, "p1", "helper", "")
+			return g, err
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.graph(t)
+			want, wantBytes := g.Clone(true), compiled(g)
+			got, err := tc.run(g)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("error %v, want error %v", err, tc.wantErr)
+			}
+			if (got == nil) != tc.wantErr {
+				t.Errorf("returned graph %p with error %v", got, err)
+			}
+			if got == g {
+				t.Error("returned the input graph")
+			}
+			if !bytes.Equal(compiled(g), wantBytes) {
+				t.Error("input graph's compiled bytes changed")
+			}
+			graphtest.SameIndexes(t, g, want)
+		})
 	}
 }
