@@ -16,11 +16,14 @@
 //  5. overrides    — designer weight overrides (the -ov file)
 //  6. validate     — Graph.Validate on the finished SLIF
 //
-// Each pass is independently testable; a pass failure aborts the build
-// with the pass named in the error. Every pass whose work is per-behavior
-// exposes its loop body as a separate function (behaviorChannels,
-// wireChannel, tagChannels, behaviorWeights, ...), which Rebuild invokes
-// for just the edited slice of the design — see rebuild.go.
+// The pipeline is the only driver, and it runs over a fresh set: the
+// elements whose structs it makes and annotates. Build's set is the whole
+// design. A localized rebuild's set is the behaviors an edit reached
+// (rebuild.go); every other port, node and channel block is the previous
+// graph's struct, shared and never written. Either way the passes lay the
+// graph out in design order — ports, behavior nodes, variable nodes, one
+// channel block per behavior — and one Graph.Reindex indexes it at the
+// end. A pass failure aborts the build with the pass named in the error.
 package builder
 
 import (
@@ -63,15 +66,17 @@ type state struct {
 	prof  *profile.Profile
 	techs []*synth.Tech
 
-	g       *core.Graph
-	chanSym map[*core.Channel]*sem.Symbol // channel → resolved destination
-	sched   sched.Scheduler               // the tag pass's, reused per behavior
+	// prev is the graph a rebuild shares every element outside the fresh
+	// set with, and affected names the fresh set's behaviors. Both are nil
+	// in Build, where every element is fresh.
+	prev     *core.Graph
+	affected map[string]bool
 
-	// res holds the fresh nodes of a rebuild's affected behaviors, by
-	// name. While they are re-extracted, g is the previous graph, whose
-	// indexes still point at the nodes they replace; destinations resolve
-	// through res first (see state.node). Nil in a full build.
-	res map[string]*core.Node
+	g       *core.Graph                   // laid out by the passes, indexed at the end
+	ends    map[string]core.Endpoint      // g's nodes and ports by name
+	spans   []int                         // behavior i's channels are g.Channels[spans[i]:spans[i+1]]
+	chanSym map[*core.Channel]*sem.Symbol // fresh channel → resolved destination
+	sched   sched.Scheduler               // the tag pass's, reused per behavior
 }
 
 // pass is one stage of the build's pass pipeline.
@@ -96,13 +101,24 @@ func Build(d *sem.Design, opts Options) (*core.Graph, error) {
 	if d == nil {
 		return nil, fmt.Errorf("builder: nil design")
 	}
-	s := newBuildState(d, opts)
+	return newBuildState(d, opts).run()
+}
+
+// run drives the pipeline over s's fresh set and indexes the graph.
+func (s *state) run() (*core.Graph, error) {
 	for _, p := range pipeline {
 		if err := p.run(s); err != nil {
 			return nil, fmt.Errorf("builder: pass %s: %w", p.name, err)
 		}
 	}
+	s.g.Reindex()
 	return s.g, nil
+}
+
+// fresh reports whether the node or port of the given name is in the
+// fresh set: made and annotated by this run, not shared with prev.
+func (s *state) fresh(name string) bool {
+	return s.affected == nil || s.affected[name]
 }
 
 // newBuildState assembles the pipeline working set with defaults applied.
@@ -112,7 +128,7 @@ func newBuildState(d *sem.Design, opts Options) *state {
 		opts:    opts,
 		prof:    opts.Profile,
 		techs:   opts.Techs,
-		g:       core.NewGraph(d.Name),
+		g:       &core.Graph{Name: d.Name},
 		chanSym: make(map[*core.Channel]*sem.Symbol),
 	}
 	if s.prof == nil {
@@ -126,11 +142,7 @@ func newBuildState(d *sem.Design, opts Options) *state {
 
 // BuildVHDL parses, elaborates and builds in one step.
 func BuildVHDL(src string, opts Options) (*core.Graph, error) {
-	df, err := vhdl.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	d, err := sem.Elaborate(df)
+	_, d, err := parse(src)
 	if err != nil {
 		return nil, err
 	}

@@ -26,27 +26,8 @@ func elaborate(t *testing.T, src string) *sem.Design {
 	return d
 }
 
-// newState prepares a pipeline state without running any pass, so tests
-// can drive passes individually.
-func newState(d *sem.Design, opts Options) *state {
-	s := &state{
-		d:       d,
-		opts:    opts,
-		prof:    opts.Profile,
-		techs:   opts.Techs,
-		g:       core.NewGraph(d.Name),
-		chanSym: make(map[*core.Channel]*sem.Symbol),
-	}
-	if s.prof == nil {
-		s.prof = profile.Empty()
-	}
-	if len(s.techs) == 0 {
-		s.techs = synth.StdTechs()
-	}
-	return s
-}
-
-// runThrough runs pipeline passes up to and including the named one.
+// runThrough runs pipeline passes up to and including the named one, then
+// indexes the graph laid out so far, as the driver does after the last.
 func runThrough(t *testing.T, s *state, last string) {
 	t.Helper()
 	for _, p := range pipeline {
@@ -54,6 +35,7 @@ func runThrough(t *testing.T, s *state, last string) {
 			t.Fatalf("pass %s: %v", p.name, err)
 		}
 		if p.name == last {
+			s.g.Reindex()
 			return
 		}
 	}
@@ -86,7 +68,7 @@ end;
 // TestPassExtract checks the first pass alone: nodes in elaboration
 // order with kinds, storage footprints and port widths — no channels yet.
 func TestPassExtract(t *testing.T) {
-	s := newState(elaborate(t, tinySrc), Options{})
+	s := newBuildState(elaborate(t, tinySrc), Options{})
 	runThrough(t, s, "extract")
 
 	if got := len(s.g.Channels); got != 0 {
@@ -123,7 +105,7 @@ func TestPassExtract(t *testing.T) {
 // pair with summed expected counts, in first-access order, and no bit
 // annotation yet (that belongs to the next pass).
 func TestPassFrequencies(t *testing.T) {
-	s := newState(elaborate(t, tinySrc), Options{})
+	s := newBuildState(elaborate(t, tinySrc), Options{})
 	runThrough(t, s, "frequencies")
 
 	main := s.g.NodeByName("main")
@@ -184,7 +166,7 @@ begin
     end process;
 end;
 `
-	s := newState(elaborate(t, src), Options{})
+	s := newBuildState(elaborate(t, src), Options{})
 	runThrough(t, s, "channelwires")
 
 	checks := map[[2]string]int{
@@ -209,7 +191,7 @@ end;
 // ict/size on processors and ASICs but not memories; variables get all
 // four technologies of the standard library.
 func TestPassWeights(t *testing.T) {
-	s := newState(elaborate(t, tinySrc), Options{})
+	s := newBuildState(elaborate(t, tinySrc), Options{})
 	runThrough(t, s, "weights")
 
 	main := s.g.NodeByName("main")
@@ -330,7 +312,76 @@ func TestBuildErrors(t *testing.T) {
 	if _, err := BuildVHDL(tinySrc, Options{Techs: bad}); err == nil {
 		t.Error("invalid technology accepted")
 	}
+
+	// Nodes and ports share one namespace. The refusal names the second
+	// declaration's line:col, and a rebuild, which falls back to a full
+	// build on a changed port or object set, refuses it the same way.
+	prev, err := BuildVHDL(tinySrc, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevFE, err := NewFrontEnd(tinySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, src, want string }{
+		{"port and signal", collideSignal, `builder: pass extract: 6:5: in declaration of x: slif: duplicate node name "x"`},
+		{"port and process", collideProcess, `builder: pass extract: 8:8: in p: slif: duplicate node name "p"`},
+		{"two ports", collidePorts, `builder: pass extract: slif: duplicate port name "p"`},
+	} {
+		if _, err := BuildVHDL(tc.src, Options{}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: BuildVHDL error %v, want %s", tc.name, err, tc.want)
+		}
+		if _, _, _, err := RebuildFrom(prev, prevFE, tc.src, Options{}); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: RebuildFrom error %v, want %s", tc.name, err, tc.want)
+		}
+	}
 }
+
+// Name collisions the builder refuses: a port and a signal named x, a port
+// and a process labelled p, two ports named p.
+const (
+	collideSignal = `entity E is
+    port ( x : in integer range 0 to 255;
+           q : out integer range 0 to 255 );
+end;
+architecture a of E is
+    signal x : integer range 0 to 255;
+begin
+    Main: process
+    begin
+        q <= x;
+        wait on x;
+    end process;
+end;
+`
+	collideProcess = `entity E is
+    port ( p : in integer range 0 to 255;
+           q : out integer range 0 to 255 );
+end;
+architecture a of E is
+    signal s : integer range 0 to 255;
+begin
+    P: process
+    begin
+        q <= s;
+        wait on s;
+    end process;
+end;
+`
+	collidePorts = `entity E is
+    port ( p : in integer range 0 to 255;
+           p : out integer range 0 to 255 );
+end;
+architecture a of E is
+begin
+    M: process
+    begin
+        wait;
+    end process;
+end;
+`
+)
 
 // readTestdata loads a file from the shared testdata directory.
 func readTestdata(t testing.TB, name string) string {

@@ -6,36 +6,42 @@ import (
 	"specsyn/internal/sem"
 )
 
-// passFrequencies creates the channel set C with its §2.4.1 frequency
-// annotations. For every behavior, the profile-weighted access walk
-// enumerates reads, writes and calls with expected/min/max counts per
-// start-to-finish execution; repeated accesses to the same destination
-// merge into one channel (SLIF keeps one edge per (src, dst) pair, keyed
-// by Channel.Key()), in first-access order so builds are deterministic.
+// passFrequencies lays out the channel set C with its §2.4.1 frequency
+// annotations, one block per behavior in design order. For every fresh
+// behavior, the profile-weighted access walk enumerates reads, writes and
+// calls with expected/min/max counts per start-to-finish execution;
+// repeated accesses to the same destination merge into one channel (SLIF
+// keeps one edge per (src, dst) pair, keyed by Channel.Key()), in
+// first-access order so builds are deterministic. Any other behavior's
+// block is prev's.
 func passFrequencies(s *state) error {
-	for _, b := range s.d.Behaviors {
-		src := s.g.NodeByName(b.UniqueID)
-		chans, err := s.behaviorChannels(b, src)
-		if err != nil {
+	if s.prev != nil {
+		s.g.Channels = make([]*core.Channel, 0, len(s.prev.Channels))
+	}
+	s.spans = make([]int, len(s.d.Behaviors)+1)
+	for i, b := range s.d.Behaviors {
+		n := s.g.Nodes[i]
+		if !s.fresh(b.UniqueID) {
+			s.g.Channels = append(s.g.Channels, s.prev.BehChans(n)...)
+		} else if err := s.behaviorChannels(b, n); err != nil {
 			return behErr(b, err)
 		}
-		for _, c := range chans {
-			if err := s.g.AddChannel(c); err != nil {
-				return behErr(b, err)
-			}
-		}
+		s.spans[i+1] = len(s.g.Channels)
 	}
 	return nil
 }
 
-// behaviorChannels is the frequency pass's per-behavior body: it computes
-// the merged channel list of one behavior in first-access order, with the
-// §2.4.1 avg/min/max access counts, registering each channel's destination
-// symbol in s.chanSym. The channels are returned unattached so that the
-// full pass and the incremental rebuilder can splice them in differently.
-func (s *state) behaviorChannels(b *sem.Behavior, src *core.Node) ([]*core.Channel, error) {
+// chans returns behavior i's channel block.
+func (s *state) chans(i int) []*core.Channel {
+	return s.g.Channels[s.spans[i]:s.spans[i+1]]
+}
+
+// behaviorChannels is the frequency pass's per-behavior body: it appends
+// the merged channels of one behavior to the graph in first-access order,
+// with the §2.4.1 avg/min/max access counts, registering each channel's
+// destination symbol in s.chanSym.
+func (s *state) behaviorChannels(b *sem.Behavior, src *core.Node) error {
 	var (
-		order []*core.Channel
 		bySym = map[*sem.Symbol]*core.Channel{}
 		walkE error
 	)
@@ -53,31 +59,34 @@ func (s *state) behaviorChannels(b *sem.Behavior, src *core.Node) ([]*core.Chann
 			c = &core.Channel{Src: src, Dst: dst, Tag: core.NoTag}
 			bySym[ev.Target] = c
 			s.chanSym[c] = ev.Target
-			order = append(order, c)
+			s.g.Channels = append(s.g.Channels, c)
 		}
 		c.AccFreq += ev.Counts.Avg
 		c.AccMin += ev.Counts.Min
 		c.AccMax += ev.Counts.Max
 	})
-	if walkE != nil {
-		return nil, walkE
-	}
-	return order, nil
+	return walkE
 }
 
-// passChannelWires annotates every channel with the per-access transfer
-// width feeding the estimator's transfer model — scalar accesses cost
-// their encoding, array accesses one element plus its address, calls the
-// parameter (and result) bits — and derives the §2.3 concurrency tags
+// passChannelWires annotates every fresh channel with the per-access
+// transfer width feeding the estimator's transfer model — scalar accesses
+// cost their encoding, array accesses one element plus its address, calls
+// the parameter (and result) bits — and derives the §2.3 concurrency tags
 // unless the build opted out.
 func passChannelWires(s *state) error {
-	for _, c := range s.g.Channels {
-		s.wireChannel(c)
+	for i, b := range s.d.Behaviors {
+		if !s.fresh(b.UniqueID) {
+			continue
+		}
+		chans := s.chans(i)
+		for _, c := range chans {
+			s.wireChannel(c)
+		}
+		if !s.opts.SkipTags {
+			s.tagChannels(b, chans)
+		}
 	}
-	if s.opts.SkipTags {
-		return nil
-	}
-	return passTags(s)
+	return nil
 }
 
 // wireChannel is the wire pass's per-channel body: it sets the channel's

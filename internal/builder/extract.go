@@ -8,34 +8,66 @@ import (
 	"specsyn/internal/vhdl"
 )
 
-// passExtract populates the graph's BV and IO sets from the elaborated
-// design: one behavior node per process/subprogram (in elaboration order,
-// which interleaves architecture-level subprograms, processes and their
-// nested subprograms deterministically), one variable node per declared
-// object, and one port per entity port. Variables carry their storage
-// footprint; ports carry their per-access bit count. The per-element
-// builders (extractPort, extractBehavior, extractObject) are the pass's
-// per-unit bodies, which Rebuild calls for just the affected subset.
+// passExtract lays out the graph's BV and IO sets in design order: one
+// port per entity port, one behavior node per process/subprogram (in
+// elaboration order, which interleaves architecture-level subprograms,
+// processes and their nested subprograms deterministically), then one
+// variable node per declared object. Fresh elements are made here —
+// variables carry their storage footprint, ports their per-access bit
+// count; the rest are prev's, at the same positions. Every name is
+// registered in s.ends, which refuses a name used twice with the position
+// of the second declaration.
 func passExtract(s *state) error {
-	for _, p := range s.d.Ports {
-		np, err := extractPort(p)
-		if err != nil {
+	d, g, nb := s.d, s.g, len(s.d.Behaviors)
+	s.ends = make(map[string]core.Endpoint, len(d.Ports)+nb+len(d.Objects))
+	g.Ports = make([]*core.Port, len(d.Ports))
+	g.Nodes = make([]*core.Node, nb+len(d.Objects))
+	var err error
+	for i, p := range d.Ports {
+		if !s.fresh(p.Name) {
+			g.Ports[i] = s.prev.Ports[i]
+		} else if g.Ports[i], err = extractPort(p); err != nil {
 			return err
 		}
-		if err := s.g.AddPort(np); err != nil {
+		if err := s.register(p.Name, g.Ports[i]); err != nil {
 			return err
 		}
 	}
-	for _, b := range s.d.Behaviors {
-		if err := s.g.AddNode(extractBehavior(b)); err != nil {
+	// A rebuild's prev is in builder form: node i is the one named here.
+	for i, b := range d.Behaviors {
+		if !s.fresh(b.UniqueID) {
+			g.Nodes[i] = s.prev.Nodes[i]
+		} else {
+			g.Nodes[i] = extractBehavior(b)
+		}
+		if err := s.register(b.UniqueID, g.Nodes[i]); err != nil {
 			return behErr(b, err)
 		}
 	}
-	for _, o := range s.d.Objects {
-		if err := s.g.AddNode(extractObject(o)); err != nil {
+	for i, o := range d.Objects {
+		j := nb + i
+		if !s.fresh(o.UniqueID) {
+			g.Nodes[j] = s.prev.Nodes[j]
+		} else {
+			g.Nodes[j] = extractObject(o)
+		}
+		if err := s.register(o.UniqueID, g.Nodes[j]); err != nil {
 			return objErr(o, err)
 		}
 	}
+	return nil
+}
+
+// register enters a node or port into s.ends. SLIF names nodes and ports
+// from one namespace, so a second use of a name is refused.
+func (s *state) register(name string, e core.Endpoint) error {
+	if s.ends[name] != nil {
+		if _, ok := e.(*core.Port); ok {
+			return fmt.Errorf("slif: duplicate port name %q", name)
+		}
+		return fmt.Errorf("slif: duplicate node name %q", name)
+	}
+	s.ends[name] = e
 	return nil
 }
 
@@ -87,31 +119,19 @@ func objErr(o *sem.Object, err error) error {
 	return fmt.Errorf("%s: in declaration of %s: %w", o.Pos, o.Name, err)
 }
 
-// endpoint resolves an access target symbol to its graph endpoint. Nodes
-// resolve through node, so a rebuild's fresh nodes win over the graph's.
+// endpoint resolves an access target symbol to its graph endpoint.
 func (s *state) endpoint(sym *sem.Symbol) (core.Endpoint, error) {
+	var name string
 	switch sym.Kind {
 	case sem.SymObject:
-		if n := s.node(sym.Object.UniqueID); n != nil {
-			return n, nil
-		}
+		name = sym.Object.UniqueID
 	case sem.SymPort:
-		if p := s.g.PortByName(sym.Port.Name); p != nil {
-			return p, nil
-		}
+		name = sym.Port.Name
 	case sem.SymBehavior:
-		if n := s.node(sym.Behavior.UniqueID); n != nil {
-			return n, nil
-		}
+		name = sym.Behavior.UniqueID
+	}
+	if e := s.ends[name]; e != nil {
+		return e, nil
 	}
 	return nil, fmt.Errorf("access target %q has no graph endpoint", sym.Name)
-}
-
-// node looks a node up by name: in a rebuild's fresh nodes (state.res)
-// first, then in the graph's index.
-func (s *state) node(name string) *core.Node {
-	if n := s.res[name]; n != nil {
-		return n
-	}
-	return s.g.NodeByName(name)
 }

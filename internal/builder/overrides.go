@@ -94,34 +94,16 @@ func LoadOverrides(path string) (*Overrides, error) {
 	return ParseOverrides(f)
 }
 
-// apply installs the overrides into a built graph. Referencing a node the
-// specification does not declare is an error — a silently ignored
-// override is a mis-estimated design.
-func (o *Overrides) apply(g *core.Graph) error {
+// apply pins the overrides on s's fresh nodes; prev's nodes carry theirs
+// over. Referencing a node the specification does not declare is an
+// error — a silently ignored override is a mis-estimated design.
+func (o *Overrides) apply(s *state) error {
 	for _, e := range o.entries {
-		n := g.NodeByName(e.node)
+		n, _ := s.ends[e.node].(*core.Node)
 		if n == nil {
 			return fmt.Errorf("overrides: unknown node %q", e.node)
 		}
-		if e.kind == "ict" {
-			n.SetICT(e.tech, e.value)
-		} else {
-			n.SetSize(e.tech, e.value)
-		}
-	}
-	return nil
-}
-
-// applyTo re-pins the overrides naming one of the given fresh nodes. The
-// incremental rebuilder recomputes weights only for the replaced behavior
-// nodes; their overrides must be re-applied on top, while every other node
-// keeps the already-overridden annotations it carried over — and the full
-// build that produced the previous graph has already validated that every
-// entry names a declared node.
-func (o *Overrides) applyTo(fresh map[string]*core.Node) {
-	for _, e := range o.entries {
-		n := fresh[e.node]
-		if n == nil {
+		if !s.fresh(e.node) {
 			continue
 		}
 		if e.kind == "ict" {
@@ -130,4 +112,5 @@ func (o *Overrides) applyTo(fresh map[string]*core.Node) {
 			n.SetSize(e.tech, e.value)
 		}
 	}
+	return nil
 }

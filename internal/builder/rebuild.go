@@ -3,9 +3,9 @@
 // one behavior; re-running the whole pipeline (parse → elaborate → six
 // passes) for every keystroke wastes nearly all of its work. Rebuild
 // instead diffs the previous and new sources at design-unit granularity via
-// AST content fingerprints (internal/vhdl.Fingerprint), re-runs the
-// per-behavior pass bodies for just the changed units and their dependents,
-// and assembles a new graph that shares every other node, port and channel
+// AST content fingerprints (internal/vhdl.Fingerprint) and runs the build
+// pipeline with just the changed units and their dependents as its fresh
+// set, making a new graph that shares every other node, port and channel
 // with the previous one. The previous graph is never written — concurrent
 // readers (estimators, partition searches) keep a consistent view — and
 // the result is byte-identical, in compiled snapshot form, to a
@@ -41,11 +41,6 @@ type Delta struct {
 	// meaning can depend on the parent's declarations) and transitive
 	// callers (their operation counts inline callee bodies).
 	Dependents []string
-	// AddedNodes and RemovedNodes name the SLIF nodes that exist in only
-	// one of the graphs. Non-empty only on a full rebuild; the fast path
-	// never changes the node set.
-	AddedNodes   []string
-	RemovedNodes []string
 	// Full marks a fall-back to a from-scratch Build, with Reason saying
 	// why the edit could not be localized.
 	Full   bool
@@ -172,16 +167,16 @@ func RebuildFrom(prev *core.Graph, prevFE *FrontEnd, newSrc string, opts Options
 // rebuild is RebuildFrom once the new source's front end has run.
 func rebuild(prev *core.Graph, prevFE, newFE *FrontEnd, opts Options) (*core.Graph, Delta, error) {
 	if prev == nil {
-		return rebuildFull(prev, newFE, opts, "no previous graph")
+		return rebuildFull(newFE, opts, "no previous graph")
 	}
 	if prevFE != nil {
 		prevFE = prevFE.fingerprinted()
 	}
 	if prevFE == nil {
-		return rebuildFull(prev, newFE, opts, "previous source no longer parses")
+		return rebuildFull(newFE, opts, "previous source no longer parses")
 	}
 	if reason := structureChanged(prevFE, newFE); reason != "" {
-		return rebuildFull(prev, newFE, opts, reason)
+		return rebuildFull(newFE, opts, reason)
 	}
 
 	// Unit-level diff. The two fingerprint unit sequences are now known to
@@ -196,7 +191,7 @@ func rebuild(prev *core.Graph, prevFE, newFE *FrontEnd, opts Options) (*core.Gra
 		return prev, Delta{}, nil
 	}
 	if !builderForm(prev, newFE.d) {
-		return rebuildFull(prev, newFE, opts, "previous graph not in builder form")
+		return rebuildFull(newFE, opts, "previous graph not in builder form")
 	}
 	affectedPath := func(path string) bool {
 		if changed[path] {
@@ -214,7 +209,7 @@ func rebuild(prev *core.Graph, prevFE, newFE *FrontEnd, opts Options) (*core.Gra
 	// behavior must have a fingerprinted unit; a mismatch means the lexical
 	// naming schemes disagree and the edit cannot be trusted to localize.
 	var delta Delta
-	affected := make(map[string]*sem.Behavior)
+	affected := make(map[string]bool)
 	byID := make(map[string]*sem.Behavior, len(newFE.d.Behaviors))
 	for _, b := range newFE.d.Behaviors {
 		byID[b.UniqueID] = b
@@ -223,10 +218,10 @@ func rebuild(prev *core.Graph, prevFE, newFE *FrontEnd, opts Options) (*core.Gra
 		}
 		path := behaviorPath(b)
 		if _, ok := newFE.fp.Lookup(path); !ok {
-			return rebuildFull(prev, newFE, opts, fmt.Sprintf("behavior %s has no fingerprinted unit", b.UniqueID))
+			return rebuildFull(newFE, opts, fmt.Sprintf("behavior %s has no fingerprinted unit", b.UniqueID))
 		}
 		if affectedPath(path) {
-			affected[b.UniqueID] = b
+			affected[b.UniqueID] = true
 			if changed[path] {
 				delta.Changed = append(delta.Changed, b.UniqueID)
 			} else {
@@ -247,14 +242,13 @@ func rebuild(prev *core.Graph, prevFE, newFE *FrontEnd, opts Options) (*core.Gra
 		queue = queue[1:]
 		for _, c := range prev.InChans(id) {
 			caller := c.Src.Name
-			if _, ok := affected[caller]; ok {
+			if affected[caller] {
 				continue
 			}
-			b := byID[caller]
-			if b == nil {
-				return rebuildFull(prev, newFE, opts, fmt.Sprintf("caller %s not in new design", caller))
+			if byID[caller] == nil {
+				return rebuildFull(newFE, opts, fmt.Sprintf("caller %s not in new design", caller))
 			}
-			affected[caller] = b
+			affected[caller] = true
 			delta.Dependents = append(delta.Dependents, caller)
 			queue = append(queue, caller)
 		}
@@ -262,84 +256,29 @@ func rebuild(prev *core.Graph, prevFE, newFE *FrontEnd, opts Options) (*core.Gra
 	sort.Strings(delta.Changed)
 	sort.Strings(delta.Dependents)
 
-	g, err := patch(prev, newFE.d, opts, affected)
+	st := newBuildState(newFE.d, opts)
+	st.prev, st.affected = prev, affected
+	g, err := st.run()
 	if err != nil {
 		return nil, Delta{}, err
 	}
 	return g, delta, nil
 }
 
-// patch assembles a new graph laid out the way Build lays it out — ports,
-// behavior nodes, variable nodes, then one channel block per behavior, all
-// in design order — re-running the per-behavior pass bodies (frequencies,
-// wires, tags, weights) for the affected behaviors only. Their nodes and
-// channels are fresh; every other port, node and channel block is prev's
-// own struct, shared and only read. Only the new slices and the maps of
-// one Reindex are written, so prev stays intact for concurrent readers.
-// prev must be in builder form (see builderForm).
-func patch(prev *core.Graph, d *sem.Design, opts Options, affected map[string]*sem.Behavior) (*core.Graph, error) {
-	s := newBuildState(d, opts)
-	if err := s.validateTechs(); err != nil {
-		return nil, fmt.Errorf("builder: pass weights: %w", err)
-	}
-	// Destinations resolve to the fresh nodes first, then through prev's
-	// indexes to the structs the new graph shares with it.
-	s.g = prev
-	s.res = make(map[string]*core.Node, len(affected))
-	for id, b := range affected {
-		s.res[id] = extractBehavior(b)
-	}
-
-	g := &core.Graph{
-		Name:     d.Name,
-		Nodes:    make([]*core.Node, 0, len(prev.Nodes)),
-		Ports:    append([]*core.Port(nil), prev.Ports...),
-		Channels: make([]*core.Channel, 0, len(prev.Channels)),
-	}
-	for i, b := range d.Behaviors {
-		n := s.res[b.UniqueID]
-		if n == nil {
-			n = prev.Nodes[i]
-			g.Nodes = append(g.Nodes, n)
-			g.Channels = append(g.Channels, prev.BehChans(n)...)
-			continue
-		}
-		chans, err := s.behaviorChannels(b, n)
-		if err != nil {
-			return nil, fmt.Errorf("builder: pass frequencies: %w", behErr(b, err))
-		}
-		for _, c := range chans {
-			s.wireChannel(c)
-		}
-		if !s.opts.SkipTags {
-			s.tagChannels(b, chans)
-		}
-		s.behaviorWeights(b, n)
-		g.Nodes = append(g.Nodes, n)
-		g.Channels = append(g.Channels, chans...)
-	}
-	g.Nodes = append(g.Nodes, prev.Nodes[len(d.Behaviors):]...)
-	g.Reindex()
-
-	if s.opts.Overrides != nil {
-		s.opts.Overrides.applyTo(s.res)
-	}
-	s.g = g
-	if err := passValidate(s); err != nil {
-		return nil, fmt.Errorf("builder: pass validate: %w", err)
-	}
-	return g, nil
-}
-
-// builderForm reports whether g's nodes are d's behaviors then d's
-// objects, by UniqueID and in order, as Build lays them out. patch finds
-// each behavior's node by that position, and the caller closure reads
-// prev's access relation. A transform (xform's inline or merge) breaks
-// the layout, and the graph it returns is no build of any source, so it
-// must not be patched.
+// builderForm reports whether g's ports are d's ports and g's nodes are
+// d's behaviors then d's objects, by name and in order, as Build lays them
+// out. The pipeline finds each shared port and node by that position, and
+// the caller closure reads prev's access relation. A transform (xform's
+// inline or merge) breaks the layout, and the graph it returns is no
+// build of any source, so no localized rebuild may start from it.
 func builderForm(g *core.Graph, d *sem.Design) bool {
-	if len(g.Nodes) != len(d.Behaviors)+len(d.Objects) {
+	if len(g.Ports) != len(d.Ports) || len(g.Nodes) != len(d.Behaviors)+len(d.Objects) {
 		return false
+	}
+	for i, p := range d.Ports {
+		if g.Ports[i].Name != p.Name {
+			return false
+		}
 	}
 	for i, b := range d.Behaviors {
 		if g.Nodes[i].Name != b.UniqueID {
@@ -354,35 +293,13 @@ func builderForm(g *core.Graph, d *sem.Design) bool {
 	return true
 }
 
-// rebuildFull is the fall-back: a from-scratch Build of the new source,
-// with the node-set difference against prev reported in the Delta.
-func rebuildFull(prev *core.Graph, fe *FrontEnd, opts Options, reason string) (*core.Graph, Delta, error) {
+// rebuildFull is the fall-back: a from-scratch Build of the new source.
+func rebuildFull(fe *FrontEnd, opts Options, reason string) (*core.Graph, Delta, error) {
 	g, err := Build(fe.d, opts)
 	if err != nil {
 		return nil, Delta{}, err
 	}
-	d := Delta{Full: true, Reason: reason}
-	prevNames := make(map[string]bool)
-	if prev != nil {
-		for _, n := range prev.Nodes {
-			prevNames[n.Name] = true
-		}
-	}
-	newNames := make(map[string]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
-		newNames[n.Name] = true
-		if !prevNames[n.Name] {
-			d.AddedNodes = append(d.AddedNodes, n.Name)
-		}
-	}
-	if prev != nil {
-		for _, n := range prev.Nodes {
-			if !newNames[n.Name] {
-				d.RemovedNodes = append(d.RemovedNodes, n.Name)
-			}
-		}
-	}
-	return g, d, nil
+	return g, Delta{Full: true, Reason: reason}, nil
 }
 
 // behaviorPath is the lexical path of an elaborated behavior, matching the

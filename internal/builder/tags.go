@@ -12,18 +12,11 @@ import (
 // as an ASAP schedule of each behavior's top-level statements under data
 // dependencies, with waits, calls and returns serializing. The builder's
 // job here is only to translate sched's per-target verdicts onto the
-// channels of the graph.
-func passTags(s *state) error {
-	for _, b := range s.d.Behaviors {
-		src := s.g.NodeByName(b.UniqueID)
-		s.tagChannels(b, s.g.BehChans(src))
-	}
-	return nil
-}
+// channels of the graph; the channelwires pass calls tagChannels for each
+// fresh behavior.
 
-// tagChannels is the tag pass's per-behavior body: it schedules one
-// behavior and stamps the verdicts onto the given channels (which must all
-// originate from that behavior).
+// tagChannels schedules one behavior and stamps the verdicts onto the
+// given channels, which must all originate from that behavior.
 func (s *state) tagChannels(b *sem.Behavior, chans []*core.Channel) {
 	if len(chans) == 0 {
 		return

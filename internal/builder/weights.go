@@ -11,25 +11,22 @@ import (
 // synthesizing each behavior per component type before system design
 // begins. Behaviors get operation-count-derived weights on processors and
 // custom hardware (memories cannot host behaviors); variables get storage
-// access/footprint weights on every technology class.
+// access/footprint weights on every technology class. Only fresh nodes
+// are annotated; prev's carry their weights over.
 func passWeights(s *state) error {
-	if err := s.validateTechs(); err != nil {
-		return err
-	}
-	for _, b := range s.d.Behaviors {
-		s.behaviorWeights(b, s.g.NodeByName(b.UniqueID))
-	}
-	for _, o := range s.d.Objects {
-		s.variableWeights(o, s.g.NodeByName(o.UniqueID))
-	}
-	return nil
-}
-
-// validateTechs checks every candidate technology once per build.
-func (s *state) validateTechs() error {
 	for _, t := range s.techs {
 		if err := t.Validate(); err != nil {
 			return err
+		}
+	}
+	for i, b := range s.d.Behaviors {
+		if n := s.g.Nodes[i]; s.fresh(n.Name) {
+			s.behaviorWeights(b, n)
+		}
+	}
+	for i, o := range s.d.Objects {
+		if n := s.g.Nodes[len(s.d.Behaviors)+i]; s.fresh(n.Name) {
+			s.variableWeights(o, n)
 		}
 	}
 	return nil
@@ -64,5 +61,5 @@ func passOverrides(s *state) error {
 	if s.opts.Overrides == nil {
 		return nil
 	}
-	return s.opts.Overrides.apply(s.g)
+	return s.opts.Overrides.apply(s)
 }

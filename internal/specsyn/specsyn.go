@@ -16,7 +16,6 @@ import (
 	"specsyn/internal/estimate"
 	"specsyn/internal/profile"
 	"specsyn/internal/sem"
-	"specsyn/internal/vhdl"
 )
 
 // Env is one design session. A graph installed in Graph is read-only:
@@ -107,11 +106,7 @@ func (e *Env) Build() error {
 		return fmt.Errorf("specsyn: no VHDL source loaded")
 	}
 	start := time.Now()
-	df, err := vhdl.Parse(e.Source)
-	if err != nil {
-		return fmt.Errorf("specsyn: %w", err)
-	}
-	d, err := sem.Elaborate(df)
+	_, d, err := builder.Frontend(e.Source)
 	if err != nil {
 		return fmt.Errorf("specsyn: %w", err)
 	}
