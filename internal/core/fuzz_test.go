@@ -7,9 +7,8 @@ import (
 )
 
 // FuzzRead drives the .slif reader with arbitrary text. Invariants: no
-// panic; on success the graph revalidates... (Validate may legitimately
-// reject semantic issues the line parser cannot see, so only panics and
-// write-read disagreement are failures).
+// panic; an accepted graph passes Graph.Validate (Read refuses whatever a
+// build would); and it writes and reads back to the same text.
 func FuzzRead(f *testing.F) {
 	var golden bytes.Buffer
 	g := NewGraph("seed")
@@ -33,18 +32,31 @@ func FuzzRead(f *testing.F) {
 	f.Add("slif x\nbus b width 16 ts 1 td 2\nproc p t std sizecon 1 pincon 2\nmem m t sizecon 0\n")
 	f.Add("slif x\nnode a variable storage 99999999999999999999\n") // overflowing int
 	f.Add("slif x\nbus b width 0 ts 1 td 2\n")                      // zero-width bus (estimator div-by-zero)
+	f.Add("slif x\nnode a process\nict a t NaN\n")                  // refused by Validate
 	f.Fuzz(func(t *testing.T, src string) {
 		g, pt, err := Read(strings.NewReader(src))
 		if err != nil {
 			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("accepted graph fails Validate: %v\ninput: %q", err, src)
 		}
 		// Whatever parsed must serialize and reparse identically.
 		var buf bytes.Buffer
 		if err := Write(&buf, g, pt); err != nil {
 			t.Fatalf("reserialize failed: %v", err)
 		}
-		if _, _, err := Read(&buf); err != nil {
+		text := buf.String()
+		g2, pt2, err := Read(&buf)
+		if err != nil {
 			t.Fatalf("round trip of accepted input failed: %v\ninput: %q", err, src)
+		}
+		buf.Reset()
+		if err := Write(&buf, g2, pt2); err != nil {
+			t.Fatal(err)
+		}
+		if buf.String() != text {
+			t.Fatalf("second write differs:\n%s\nvs\n%s", text, buf.String())
 		}
 	})
 }

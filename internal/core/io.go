@@ -30,14 +30,16 @@ import (
 func fmtF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Write serializes the graph to w. If pt is non-nil its mappings are
-// included as map/chanmap records.
+// included as map/chanmap records. The text is assembled in one buffer
+// and handed to w in a single Write call.
 func Write(w io.Writer, g *Graph, pt *Partition) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "slif %s\n", g.Name)
+	t := &slifText{b: make([]byte, 0, 64*(1+len(g.Ports)+4*len(g.Nodes)+len(g.Channels)))}
+	t.rec("slif").str(g.Name).end()
 
 	for _, p := range g.Ports {
-		fmt.Fprintf(bw, "port %s %s %d\n", p.Name, p.Dir, p.Bits)
+		t.rec("port").str(p.Name).str(p.Dir.String()).integer(int64(p.Bits)).end()
 	}
+	var keys []string
 	for _, n := range g.Nodes {
 		kind := "variable"
 		if n.IsBehavior() {
@@ -46,52 +48,79 @@ func Write(w io.Writer, g *Graph, pt *Partition) error {
 				kind = "process"
 			}
 		}
-		fmt.Fprintf(bw, "node %s %s", n.Name, kind)
+		t.rec("node").str(n.Name).str(kind)
 		if n.StorageBits != 0 {
-			fmt.Fprintf(bw, " storage %d", n.StorageBits)
+			t.str("storage").integer(n.StorageBits)
 		}
-		fmt.Fprintln(bw)
-		for _, t := range sortedKeys(n.ICT) {
-			fmt.Fprintf(bw, "ict %s %s %s\n", n.Name, t, fmtF(n.ICT[t]))
+		t.end()
+		keys = sortedKeys(keys, n.ICT)
+		for _, k := range keys {
+			t.rec("ict").str(n.Name).str(k).float(n.ICT[k]).end()
 		}
-		for _, t := range sortedKeys(n.Size) {
-			fmt.Fprintf(bw, "size %s %s %s\n", n.Name, t, fmtF(n.Size[t]))
+		keys = sortedKeys(keys, n.Size)
+		for _, k := range keys {
+			t.rec("size").str(n.Name).str(k).float(n.Size[k]).end()
 		}
 	}
 	for _, c := range g.Channels {
-		fmt.Fprintf(bw, "chan %s %s freq %s min %s max %s bits %d tag %d\n",
-			c.Src.Name, c.Dst.EndpointName(), fmtF(c.AccFreq), fmtF(c.AccMin), fmtF(c.AccMax), c.Bits, c.Tag)
+		t.rec("chan").str(c.Src.Name).str(c.Dst.EndpointName()).
+			str("freq").float(c.AccFreq).str("min").float(c.AccMin).str("max").float(c.AccMax).
+			str("bits").integer(int64(c.Bits)).str("tag").integer(int64(c.Tag)).end()
 	}
 	for _, p := range g.Procs {
 		kind := "std"
 		if p.Custom {
 			kind = "custom"
 		}
-		fmt.Fprintf(bw, "proc %s %s %s sizecon %s pincon %d\n", p.Name, p.TypeName, kind, fmtF(p.SizeCon), p.PinCon)
+		t.rec("proc").str(p.Name).str(p.TypeName).str(kind).
+			str("sizecon").float(p.SizeCon).str("pincon").integer(int64(p.PinCon)).end()
 	}
 	for _, m := range g.Mems {
-		fmt.Fprintf(bw, "mem %s %s sizecon %s\n", m.Name, m.TypeName, fmtF(m.SizeCon))
+		t.rec("mem").str(m.Name).str(m.TypeName).str("sizecon").float(m.SizeCon).end()
 	}
 	for _, b := range g.Buses {
-		fmt.Fprintf(bw, "bus %s width %d ts %s td %s\n", b.Name, b.BitWidth, fmtF(b.TS), fmtF(b.TD))
+		t.rec("bus").str(b.Name).str("width").integer(int64(b.BitWidth)).
+			str("ts").float(b.TS).str("td").float(b.TD).end()
 	}
 	if pt != nil {
 		for _, n := range g.Nodes {
 			if c := pt.BvComp(n); c != nil {
-				fmt.Fprintf(bw, "map %s %s\n", n.Name, c.CompName())
+				t.rec("map").str(n.Name).str(c.CompName()).end()
 			}
 		}
 		for _, c := range g.Channels {
 			if b := pt.ChanBus(c); b != nil {
-				fmt.Fprintf(bw, "chanmap %s %s %s\n", c.Src.Name, c.Dst.EndpointName(), b.Name)
+				t.rec("chanmap").str(c.Src.Name).str(c.Dst.EndpointName()).str(b.Name).end()
 			}
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(t.b)
+	return err
 }
 
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
+// slifText appends .slif records to one buffer: rec starts a record with
+// its keyword, each further field is preceded by a space, end closes the
+// line. Numbers are formatted as Read parses them: floats in the shortest
+// form that round-trips exactly.
+type slifText struct{ b []byte }
+
+func (t *slifText) rec(keyword string) *slifText { t.b = append(t.b, keyword...); return t }
+func (t *slifText) str(s string) *slifText       { t.b = append(append(t.b, ' '), s...); return t }
+func (t *slifText) end()                         { t.b = append(t.b, '\n') }
+
+func (t *slifText) integer(v int64) *slifText {
+	t.b = strconv.AppendInt(append(t.b, ' '), v, 10)
+	return t
+}
+
+func (t *slifText) float(v float64) *slifText {
+	t.b = strconv.AppendFloat(append(t.b, ' '), v, 'g', -1, 64)
+	return t
+}
+
+// sortedKeys returns m's keys in order, reusing keys' storage.
+func sortedKeys(keys []string, m map[string]float64) []string {
+	keys = keys[:0]
 	for k := range m {
 		keys = append(keys, k)
 	}
@@ -118,7 +147,10 @@ func (rs *readState) errf(format string, args ...any) error {
 }
 
 // Read parses a .slif stream written by Write. The returned partition is
-// non-nil only if the stream contained map/chanmap records.
+// non-nil only if the stream contained map/chanmap records. The graph is
+// built through the validating Add helpers in stream order, and a stream
+// whose graph fails Graph.Validate (a negative or non-finite annotation,
+// say) is refused as a build would refuse it.
 func Read(r io.Reader) (*Graph, *Partition, error) {
 	rs := &readState{}
 	sc := bufio.NewScanner(r)
@@ -144,6 +176,9 @@ func Read(r io.Reader) (*Graph, *Partition, error) {
 	}
 	if rs.g == nil {
 		return nil, nil, fmt.Errorf("slif: stream has no 'slif' header")
+	}
+	if err := rs.g.Validate(); err != nil {
+		return nil, nil, err
 	}
 	return rs.g, rs.pt, nil
 }

@@ -10,33 +10,66 @@ import (
 	"testing/quick"
 )
 
-func TestWriteReadRoundTrip(t *testing.T) {
+// weirdGraph is tinyGraph plus the edge shapes a faithful round-trip must
+// carry: annotation types with no allocated component, an inout port, a
+// multi-bus allocation, and (from tinyGraph) a channel to a port.
+func weirdGraph(t testing.TB) *Graph {
+	t.Helper()
 	g := tinyGraph(t)
-	pt := split(t, g)
+	g.NodeByName("main").SetICT("dsp99", 3.25)
+	g.NodeByName("arr").SetSize("fpga7", 12)
+	if err := g.AddPort(&Port{Name: "cfg", Dir: InOut, Bits: 3}); err != nil {
+		t.Fatal(err)
+	}
+	g.AddBus(&Bus{Name: "bus2", BitWidth: 8, TS: 0.01, TD: 0.9})
+	return g
+}
 
-	var buf bytes.Buffer
-	if err := Write(&buf, g, pt); err != nil {
-		t.Fatal(err)
-	}
-	g2, pt2, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertGraphsEqual(t, g, g2)
-	if pt2 == nil {
-		t.Fatal("partition lost")
-	}
-	for _, n := range g.Nodes {
-		want := pt.BvComp(n).CompName()
-		got := pt2.BvComp(g2.NodeByName(n.Name))
-		if got == nil || got.CompName() != want {
-			t.Errorf("node %s mapping: got %v, want %s", n.Name, got, want)
+// TestWriteReadRoundTrip pins the text format as the graph's exact
+// serialization: Read(Write(g)) equals g object for object, carries the
+// partition, and compiles to g's snapshot byte for byte — including the
+// port directions and the annotation types no component uses, which the
+// estimators never read.
+func TestWriteReadRoundTrip(t *testing.T) {
+	for _, build := range []func(testing.TB) *Graph{tinyGraph, weirdGraph} {
+		g := build(t)
+		pt := split(t, g)
+
+		var buf bytes.Buffer
+		if err := Write(&buf, g, pt); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, c := range g.Channels {
-		c2 := g2.FindChannel(c.Src.Name, c.Dst.EndpointName())
-		if pt2.ChanBus(c2) == nil || pt2.ChanBus(c2).Name != pt.ChanBus(c).Name {
-			t.Errorf("channel %s bus mapping lost", c.Key())
+		g2, pt2, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertGraphsEqual(t, g, g2)
+		want, err := mustCompile(t, g).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := mustCompile(t, g2).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("Compile(Read(Write(g))) is not byte-identical to Compile(g)")
+		}
+		if pt2 == nil {
+			t.Fatal("partition lost")
+		}
+		for _, n := range g.Nodes {
+			want := pt.BvComp(n).CompName()
+			got := pt2.BvComp(g2.NodeByName(n.Name))
+			if got == nil || got.CompName() != want {
+				t.Errorf("node %s mapping: got %v, want %s", n.Name, got, want)
+			}
+		}
+		for _, c := range g.Channels {
+			c2 := g2.FindChannel(c.Src.Name, c.Dst.EndpointName())
+			if pt2.ChanBus(c2) == nil || pt2.ChanBus(c2).Name != pt.ChanBus(c).Name {
+				t.Errorf("channel %s bus mapping lost", c.Key())
+			}
 		}
 	}
 }
@@ -110,6 +143,10 @@ func TestReadErrors(t *testing.T) {
 		"slif g\nict ghost t 1\n", // unknown node
 		"slif g\nwhat is this\n",  // unknown record
 		"slif g\nport p sideways 8\n",
+		// Parsed, but refused by Graph.Validate as a build refuses them.
+		"slif g\nnode a process\nict a t NaN\n",
+		"slif g\nnode a process\nnode v variable\nchan a v freq -1 min 0 max 0 bits 8 tag -1\n",
+		"slif g\nnode a process\nnode v variable\nchan a v freq +Inf min 0 max 0 bits 8 tag -1\n",
 	}
 	for _, src := range cases {
 		if _, _, err := Read(strings.NewReader(src)); err == nil {

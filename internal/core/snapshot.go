@@ -42,8 +42,9 @@ type Snapshot struct {
 	Storage   []int64 // StorageBits
 
 	// Per-port arrays, indexed by port ID. The estimators never read
-	// these, but Decompile must reproduce the Graph's ports exactly, so
-	// the snapshot carries them.
+	// these; they are here so that a snapshot's bytes (MarshalBinary) pin
+	// the whole graph, and the byte checks that a rebuild equals a build,
+	// or a restored graph the one checkpointed, see a changed port.
 	PortDir  []PortDir
 	PortBits []int32
 
@@ -62,9 +63,10 @@ type Snapshot struct {
 
 	// Extra annotation weights: ICT/Size entries keyed by component types
 	// that no allocated component uses. The node×comp tables above cannot
-	// hold them (there is no comp ID), but TypeNames interns their type
-	// names and Decompile must restore them, so they ride along as sparse
-	// triples sorted by (node ID, type ID) — deterministic by construction.
+	// hold them (there is no comp ID) and the estimators never read them;
+	// they ride along, for the same byte checks as the port arrays, as
+	// sparse triples sorted by (node ID, type ID) — deterministic by
+	// construction.
 	ExtraICT  []ExtraWeight
 	ExtraSize []ExtraWeight
 
@@ -476,16 +478,17 @@ func (s *Snapshot) Capture(pt *Partition, a *Assignment) error {
 }
 
 // snapMagic is the versioned header of the snapshot encoding. Version 2
-// added the port dir/bits arrays and the sparse extra-weight tables that
-// make the snapshot a complete image of its Graph (so Decompile can
-// reconstruct it exactly); version-1 bytes are not accepted.
+// added the port dir/bits arrays and the sparse extra-weight tables, so
+// the image covers everything the .slif text of its Graph carries except
+// the partition.
 const snapMagic = "SLIFSNAP\x02"
 
 // MarshalBinary serializes the snapshot deterministically: equal snapshots
 // (and therefore equal compiled graphs) produce equal bytes. The format is
 // a versioned magic followed by every array, length-prefixed, in struct
-// order — the durability format the session store checkpoints, decoded by
-// UnmarshalBinary and lifted back to a Graph by Decompile.
+// order. Nothing reads it back — the .slif text (Write/Read) is the graph's
+// exchange and checkpoint format — but equal images are how the tests and
+// the benchmark check that two graphs are the same design.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	var b []byte
 	b = append(b, snapMagic...)

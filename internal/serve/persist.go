@@ -3,13 +3,13 @@ package serve
 // Durability wiring: how the daemon uses internal/store.
 //
 // Inputs are journaled inside the session's write lock, so journal order
-// is exactly apply order. Checkpoints — compiled SLIF images — are written
-// outside it: the env pin (a shallow copy under the read lock) stays
-// consistent because reloads install new graphs rather than mutating, and
-// each session's flushMu serializes its checkpoint writers. Store failures
-// never fail a serving request: the daemon logs them, counts them in
-// store_errors, and keeps serving from memory — availability over
-// durability.
+// is exactly apply order. Checkpoints — the session graph as .slif text —
+// are written outside it: the env pin (a shallow copy under the read
+// lock) stays consistent because reloads install new graphs rather than
+// mutating, and each session's flushMu serializes its checkpoint
+// writers. Store failures never fail a serving request: the daemon logs
+// them, counts them in store_errors, and keeps serving from memory —
+// availability over durability.
 
 import (
 	"context"
@@ -19,7 +19,6 @@ import (
 
 	"specsyn/internal/alloc"
 	"specsyn/internal/builder"
-	"specsyn/internal/core"
 	"specsyn/internal/profile"
 	"specsyn/internal/specsyn"
 )
@@ -99,7 +98,7 @@ func (s *Server) journalDelete(id string) {
 	}
 }
 
-// checkpoint flushes one session's compiled image to the store, if it is
+// checkpoint flushes one session's graph to the store, if it is
 // dirty (journaled past its last checkpoint). Returns false only when a
 // flush was needed and failed.
 func (s *Server) checkpoint(sess *session) bool {
@@ -116,12 +115,7 @@ func (s *Server) checkpoint(sess *session) bool {
 	if seq == 0 || seq == ckptSeq {
 		return true // never journaled, or already covered
 	}
-	snap, err := core.Compile(env.Graph)
-	if err != nil {
-		s.storeFailed("compile checkpoint", sess.id, err)
-		return false
-	}
-	if err := s.cfg.Store.Checkpoint(sess.id, seq, snap, env.Source, prof, lib, ovr); err != nil {
+	if err := s.cfg.Store.Checkpoint(sess.id, seq, env.Graph, env.Source, prof, lib, ovr); err != nil {
 		s.storeFailed("checkpoint", sess.id, err)
 		return false
 	}
@@ -160,9 +154,10 @@ func (s *Server) install(sess *session) int {
 }
 
 // restore rebuilds one session from the store: from its checkpoint when
-// possible — decode, Decompile, and at most one incremental Reload to the
-// journal tip, no front-end parse of an unchanged source — otherwise a
-// full build from the journaled inputs. usedCkpt reports which path ran.
+// possible — read the graph's .slif text, and at most one incremental
+// Reload to the journal tip, no front-end parse of an unchanged source —
+// otherwise a full build from the journaled inputs. usedCkpt reports
+// which path ran.
 func (s *Server) restore(id string) (sess *session, usedCkpt bool, err error) {
 	data, err := s.cfg.Store.Load(id)
 	if data == nil {

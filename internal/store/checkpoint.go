@@ -11,14 +11,15 @@ import (
 	"specsyn/internal/faultinject"
 )
 
-// ckptMagic versions the checkpoint container. The embedded snapshot has
-// its own magic (core's SLIFSNAP format), checked by its own decoder.
-const ckptMagic = "SLIFCKPT\x01"
+// ckptMagic versions the checkpoint container. Version 2 carries the
+// graph as .slif text; a version-1 file (a binary snapshot image) fails
+// the magic check, and its session rebuilds from the journal.
+const ckptMagic = "SLIFCKPT\x02"
 
 // ckptImage is the decoded content of one checkpoint file: the journal
-// sequence it covers, the exact inputs that produced the snapshot (the
-// VHDL here is the source the snapshot was compiled from, which may lag
-// the journal tip), and the marshaled core.Snapshot.
+// sequence it covers, the exact inputs that produced the graph (the VHDL
+// here is the source the graph was built from, which may lag the journal
+// tip), and the graph as core.Write text.
 type ckptImage struct {
 	Seq       uint64
 	ID        string
@@ -26,7 +27,7 @@ type ckptImage struct {
 	Profile   string
 	Library   string
 	Overrides string
-	Snap      []byte
+	Graph     []byte
 }
 
 // ckptName maps a session ID — arbitrary URL-path text — to a safe,
@@ -63,13 +64,13 @@ func encodeCkpt(img ckptImage) []byte {
 	b = appendStr(b, img.Profile)
 	b = appendStr(b, img.Library)
 	b = appendStr(b, img.Overrides)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(img.Snap)))
-	b = append(b, img.Snap...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(img.Graph)))
+	b = append(b, img.Graph...)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[len(ckptMagic):]))
 }
 
-// ckptReader is a bounds-checked cursor with a sticky error, mirroring the
-// snapshot decoder's discipline: check d.err once at the end.
+// ckptReader is a bounds-checked cursor with a sticky error: check d.err
+// once at the end.
 type ckptReader struct {
 	data []byte
 	off  int
@@ -138,7 +139,7 @@ func decodeCkpt(data []byte) (ckptImage, error) {
 	img.Profile = d.str()
 	img.Library = d.str()
 	img.Overrides = d.str()
-	img.Snap = d.take(int(d.u32()))
+	img.Graph = d.take(int(d.u32()))
 	if d.err == nil && d.off != len(body) {
 		d.fail("%d trailing bytes", len(body)-d.off)
 	}

@@ -1,11 +1,11 @@
 // Package store is specsynd's durability layer: an append-only,
 // CRC32-framed journal of session *inputs* (sources, auxiliary texts,
-// deletions) plus per-session compiled-image checkpoints of the SLIF
-// snapshot. The journal is the source of truth — replaying it rebuilds
+// deletions) plus per-session checkpoints holding the session graph as
+// .slif text. The journal is the source of truth — replaying it rebuilds
 // every session from scratch — and checkpoints are an optimization that
-// lets recovery skip the front end: decode the snapshot, Decompile it to
-// a graph, and at most one incremental Reload brings the session to the
-// journal's tip.
+// lets recovery skip the front end: core.Read the text back to a graph,
+// and at most one incremental Reload brings the session to the journal's
+// tip.
 //
 // Crash model: the process can die at any instruction. Every journal
 // append is one write + fsync of a self-checking frame; a crash mid-write

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -235,19 +236,19 @@ func (s *Store) AppendDelete(id string) error {
 	return nil
 }
 
-// Checkpoint atomically installs a compiled-image checkpoint for id: snap
-// must be the compilation of the graph produced by vhdl (plus the
-// auxiliary inputs), and seq the journal sequence that state corresponds
-// to. Old checkpoints are replaced; a crash mid-write leaves the previous
-// one intact.
-func (s *Store) Checkpoint(id string, seq uint64, snap *core.Snapshot, vhdl, profile, library, overrides string) error {
-	data, err := snap.MarshalBinary()
-	if err != nil {
+// Checkpoint atomically installs a checkpoint for id: g must be the graph
+// built from vhdl (plus the auxiliary inputs), and seq the journal
+// sequence that state corresponds to. The graph is stored as its .slif
+// text (core.Write). Old checkpoints are replaced; a crash mid-write
+// leaves the previous one intact.
+func (s *Store) Checkpoint(id string, seq uint64, g *core.Graph, vhdl, profile, library, overrides string) error {
+	var text bytes.Buffer
+	if err := core.Write(&text, g, nil); err != nil {
 		return fmt.Errorf("store: checkpoint %q: %w", id, err)
 	}
 	buf := encodeCkpt(ckptImage{
 		Seq: seq, ID: id, VHDL: vhdl,
-		Profile: profile, Library: library, Overrides: overrides, Snap: data,
+		Profile: profile, Library: library, Overrides: overrides, Graph: text.Bytes(),
 	})
 	if err := atomicWrite(s.fs, s.dir, ckptName(id), buf); err != nil {
 		return fmt.Errorf("store: checkpoint %q: %w", id, err)
@@ -260,8 +261,8 @@ func (s *Store) Checkpoint(id string, seq uint64, snap *core.Snapshot, vhdl, pro
 	return nil
 }
 
-// CheckpointData is a decoded, decompiled checkpoint: the graph as
-// compiled from VHDL at journal sequence Seq.
+// CheckpointData is a decoded checkpoint: the graph as built from VHDL at
+// journal sequence Seq.
 type CheckpointData struct {
 	Seq   uint64
 	VHDL  string
@@ -313,11 +314,7 @@ func (s *Store) Load(id string) (*SessionData, error) {
 	if err != nil {
 		return sd, err
 	}
-	var snap core.Snapshot
-	if err := snap.UnmarshalBinary(img.Snap); err != nil {
-		return sd, fmt.Errorf("store: checkpoint %q snapshot: %w", id, err)
-	}
-	g, err := core.Decompile(&snap)
+	g, _, err := core.Read(bytes.NewReader(img.Graph))
 	if err != nil {
 		return sd, fmt.Errorf("store: checkpoint %q: %w", id, err)
 	}

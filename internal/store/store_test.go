@@ -2,12 +2,18 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"specsyn/internal/builder"
 	"specsyn/internal/core"
 	"specsyn/internal/faultinject"
+	"specsyn/internal/graphtest"
+	"specsyn/internal/profile"
+	"specsyn/internal/syngen"
 )
 
 // testGraph builds a small valid design graph directly through the core
@@ -135,108 +141,145 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	}
 }
 
-func TestCheckpointRestore(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, nil)
-	g := testGraph(t)
-	snap, err := core.Compile(g)
+// builtGraph builds a paper example with its profile, or the generated
+// syn-pN subject, through the builder as a session does.
+func builtGraph(t *testing.T, name string) *core.Graph {
+	t.Helper()
+	var procs int
+	if n, _ := fmt.Sscanf(name, "syn-p%d", &procs); n == 1 {
+		g, err := builder.BuildVHDL(syngen.Generate(syngen.Config{Seed: 7, Processes: procs}), builder.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", name+".vhd"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := snap.MarshalBinary()
+	prof, err := profile.Load(filepath.Join("..", "..", "testdata", name+".prob"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := s.AppendBuild("des", "vhdl-at-ckpt", "prof", "", "")
+	g, err := builder.BuildVHDL(string(src), builder.Options{Profile: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint("des", seq, snap, "vhdl-at-ckpt", "prof", "", ""); err != nil {
-		t.Fatal(err)
-	}
-	if s.CkptSeq("des") != seq {
-		t.Fatalf("CkptSeq = %d, want %d", s.CkptSeq("des"), seq)
-	}
-	// The source moves on; the checkpoint lags at seq 1.
-	if _, err := s.AppendReload("des", "vhdl-newer"); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	return g
+}
 
-	s2, stats := mustOpen(t, dir, nil)
-	if stats.Checkpoints != 1 || stats.CorruptCkpts != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	sd, err := s2.Load("des")
-	if err != nil {
+func slifText(t *testing.T, g *core.Graph) string {
+	t.Helper()
+	var b strings.Builder
+	if err := core.Write(&b, g, nil); err != nil {
 		t.Fatal(err)
 	}
-	if sd.VHDL != "vhdl-newer" || sd.Ckpt == nil ||
-		sd.Ckpt.Seq != seq || sd.Ckpt.VHDL != "vhdl-at-ckpt" {
-		t.Fatalf("Load = %+v (ckpt %+v)", sd, sd.Ckpt)
-	}
-	// The restored graph recompiles to the exact bytes that were stored —
-	// the bit-identical recovery guarantee, end to end through the store.
-	resnap, err := core.Compile(sd.Ckpt.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := resnap.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("restored graph does not recompile bit-identically")
+	return b.String()
+}
+
+func TestCheckpointRestore(t *testing.T) {
+	for _, name := range []string{"storetest", "ans", "ether", "fuzzy", "vol", "syn-p32"} {
+		t.Run(name, func(t *testing.T) {
+			g := testGraph(t)
+			if name != "storetest" {
+				g = builtGraph(t, name)
+			}
+			dir := t.TempDir()
+			s, _ := mustOpen(t, dir, nil)
+			seq, err := s.AppendBuild("des", "vhdl-at-ckpt", "prof", "", "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint("des", seq, g, "vhdl-at-ckpt", "prof", "", ""); err != nil {
+				t.Fatal(err)
+			}
+			if s.CkptSeq("des") != seq {
+				t.Fatalf("CkptSeq = %d, want %d", s.CkptSeq("des"), seq)
+			}
+			// The source moves on; the checkpoint lags at seq 1.
+			if _, err := s.AppendReload("des", "vhdl-newer"); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			s2, stats := mustOpen(t, dir, nil)
+			if stats.Checkpoints != 1 || stats.CorruptCkpts != 0 {
+				t.Fatalf("stats = %+v", stats)
+			}
+			sd, err := s2.Load("des")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sd.VHDL != "vhdl-newer" || sd.Ckpt == nil ||
+				sd.Ckpt.Seq != seq || sd.Ckpt.VHDL != "vhdl-at-ckpt" {
+				t.Fatalf("Load = %+v (ckpt %+v)", sd, sd.Ckpt)
+			}
+			// The restored graph compiles to the exact bytes of the one
+			// checkpointed, and writes the same text, allocation included —
+			// the bit-identical recovery guarantee, end to end through the
+			// store.
+			if !bytes.Equal(graphtest.Bytes(t, sd.Ckpt.Graph), graphtest.Bytes(t, g)) {
+				t.Fatal("restored graph does not compile bit-identically")
+			}
+			if slifText(t, sd.Ckpt.Graph) != slifText(t, g) {
+				t.Fatal("restored graph writes different text")
+			}
+		})
 	}
 }
 
 func TestCorruptCheckpointDegradesToJournal(t *testing.T) {
-	dir := t.TempDir()
-	s, _ := mustOpen(t, dir, nil)
-	snap, err := core.Compile(testGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, _ := s.AppendBuild("des", "v1", "", "", "")
-	if err := s.Checkpoint("des", seq, snap, "v1", "", "", ""); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
+	for _, tc := range []struct {
+		name   string
+		damage func(raw []byte)
+	}{
+		// One flipped body byte: the CRC catches it and recovery drops the
+		// file rather than serving a damaged graph.
+		{"flipped byte", func(raw []byte) { raw[len(raw)/2] ^= 0xff }},
+		// A version-1 checkpoint (a binary snapshot image) with a valid CRC:
+		// the magic refuses it, and the session rebuilds from the journal.
+		{"v1 header", func(raw []byte) { raw[len(ckptMagic)-1] = 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, _ := mustOpen(t, dir, nil)
+			seq, _ := s.AppendBuild("des", "v1", "", "", "")
+			if err := s.Checkpoint("des", seq, testGraph(t), "v1", "", "", ""); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
 
-	// Flip one byte in the checkpoint body: the CRC catches it and recovery
-	// drops the file rather than serving a damaged image.
-	cpath := filepath.Join(dir, ckptName("des"))
-	raw, err := os.ReadFile(cpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(cpath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			cpath := filepath.Join(dir, ckptName("des"))
+			raw, err := os.ReadFile(cpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(raw)
+			if err := os.WriteFile(cpath, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	s2, stats := mustOpen(t, dir, nil)
-	if stats.CorruptCkpts != 1 || stats.Checkpoints != 0 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	sd, err := s2.Load("des")
-	if err != nil || sd == nil || sd.Ckpt != nil || sd.VHDL != "v1" {
-		t.Fatalf("Load = %+v, %v", sd, err)
-	}
-	if _, err := os.Stat(cpath); !os.IsNotExist(err) {
-		t.Fatal("corrupt checkpoint file not removed")
+			s2, stats := mustOpen(t, dir, nil)
+			if stats.CorruptCkpts != 1 || stats.Checkpoints != 0 {
+				t.Fatalf("stats = %+v", stats)
+			}
+			sd, err := s2.Load("des")
+			if err != nil || sd == nil || sd.Ckpt != nil || sd.VHDL != "v1" {
+				t.Fatalf("Load = %+v, %v", sd, err)
+			}
+			if _, err := os.Stat(cpath); !os.IsNotExist(err) {
+				t.Fatal("corrupt checkpoint file not removed")
+			}
+		})
 	}
 }
 
 func TestResurrectFromCheckpointOnly(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, nil)
-	snap, err := core.Compile(testGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testGraph(t)
 	seq, _ := s.AppendBuild("des", "v1", "prof", "", "")
-	if err := s.Checkpoint("des", seq, snap, "v1", "prof", "", ""); err != nil {
+	if err := s.Checkpoint("des", seq, g, "v1", "prof", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -263,12 +306,9 @@ func TestResurrectFromCheckpointOnly(t *testing.T) {
 func TestDeleteTombstoneBeatsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, dir, nil)
-	snap, err := core.Compile(testGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testGraph(t)
 	seq, _ := s.AppendBuild("des", "v1", "", "", "")
-	if err := s.Checkpoint("des", seq, snap, "v1", "", "", ""); err != nil {
+	if err := s.Checkpoint("des", seq, g, "v1", "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// Crash between the delete record landing and the checkpoint removal:
@@ -276,7 +316,7 @@ func TestDeleteTombstoneBeatsCheckpoint(t *testing.T) {
 	if err := s.AppendDelete("des"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Checkpoint("des", seq, snap, "v1", "", "", ""); err != nil {
+	if err := s.Checkpoint("des", seq, g, "v1", "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -381,23 +421,20 @@ func TestAppendSurvivesInjectedFaults(t *testing.T) {
 
 func TestCheckpointSurvivesRenameFault(t *testing.T) {
 	dir := t.TempDir()
-	snap, err := core.Compile(testGraph(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := testGraph(t)
 	cfs := faultinject.NewChaosFS(nil, faultinject.FSPlan{FailRenameAt: 2})
 	s, _, err := Open(dir, cfs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq, _ := s.AppendBuild("des", "v1", "", "", "")
-	if err := s.Checkpoint("des", seq, snap, "v1", "", "", ""); err != nil {
+	if err := s.Checkpoint("des", seq, g, "v1", "", "", ""); err != nil {
 		t.Fatal(err)
 	}
 	// The second checkpoint's atomic install fails; the first must be
 	// untouched and the temp file cleaned up.
 	seq2, _ := s.AppendReload("des", "v2")
-	if err := s.Checkpoint("des", seq2, snap, "v2", "", "", ""); err == nil {
+	if err := s.Checkpoint("des", seq2, g, "v2", "", "", ""); err == nil {
 		t.Fatal("injected rename failure not surfaced")
 	}
 	if s.CkptSeq("des") != seq {
