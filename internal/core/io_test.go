@@ -74,6 +74,42 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecompileRoundTrip pins the lift from the persisted form back to a
+// Graph, which is Read over the partition-free text a checkpoint stores:
+// the lifted graph validates, has no partition, equals g object for
+// object, and recompiles to g's snapshot byte for byte.
+func TestDecompileRoundTrip(t *testing.T) {
+	for _, build := range []func(testing.TB) *Graph{tinyGraph, weirdGraph} {
+		g := build(t)
+		var buf bytes.Buffer
+		if err := Write(&buf, g, nil); err != nil {
+			t.Fatal(err)
+		}
+		g2, pt2, err := Read(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pt2 != nil {
+			t.Fatal("a partition-free text read back with a partition")
+		}
+		if err := g2.Validate(); err != nil {
+			t.Fatalf("lifted graph invalid: %v", err)
+		}
+		assertGraphsEqual(t, g, g2)
+		want, err := mustCompile(t, g).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := mustCompile(t, g2).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("Compile(Read(Write(g, nil))) is not byte-identical to Compile(g)")
+		}
+	}
+}
+
 func assertGraphsEqual(t *testing.T, a, b *Graph) {
 	t.Helper()
 	if a.Name != b.Name {
